@@ -195,8 +195,9 @@ fn main() {
     println!("    independent of how many configurations the space holds per *search*;");
     println!("    it still scales with the softmax width across case studies.");
     println!("  * with this repository's analytical cost model, exhaustive search is");
-    println!("    already microseconds, so learned inference only wins where the space");
-    println!("    is big (CS3). With the paper's real simulator (seconds per config,");
-    println!("    step 1 of Fig. 1a) the search column multiplies by ~10^6 and the");
-    println!("    break-even point drops to a handful of queries.");
+    println!("    microseconds in every case study: CS3 prices its 1944 schedules from");
+    println!("    one 48-entry cost table, so even the largest space is searched faster");
+    println!("    than one f32 forward pass. With the paper's real simulator (seconds");
+    println!("    per config, step 1 of Fig. 1a) the search column multiplies by ~10^6");
+    println!("    and the break-even point drops to a handful of queries.");
 }

@@ -3,15 +3,34 @@
 
 use airchitect_cli::run;
 use std::path::PathBuf;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 fn argv(s: &[&str]) -> Vec<String> {
     s.iter().map(|v| v.to_string()).collect()
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("airchitect-cli-{}", std::process::id()));
+/// A fresh directory for one test: tests run in parallel, and each removes
+/// its own directory when done, so none may share one.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("airchitect-cli-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// Telemetry (the recorder, its span aggregates and the JSONL sink) is
+/// process-global, and `--trace` resets it when a command starts. A traced
+/// test therefore holds this lock exclusively, so no other test's training
+/// or generation records into its window; every test that does such work
+/// holds it shared.
+static RECORDING: RwLock<()> = RwLock::new(());
+
+fn recording_shared() -> RwLockReadGuard<'static, ()> {
+    RECORDING.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn recording_exclusive() -> RwLockWriteGuard<'static, ()> {
+    RECORDING.write().unwrap_or_else(|e| e.into_inner())
 }
 
 #[test]
@@ -23,6 +42,7 @@ fn help_and_unknown_commands() {
 
 #[test]
 fn simulate_with_verification() {
+    let _shared = recording_shared();
     assert!(run(&argv(&[
         "simulate",
         "--m",
@@ -67,6 +87,7 @@ fn simulate_with_verification() {
 
 #[test]
 fn search_all_cases() {
+    let _shared = recording_shared();
     assert!(run(&argv(&[
         "search",
         "--case",
@@ -119,7 +140,8 @@ fn spaces_prints() {
 
 #[test]
 fn generate_train_recommend_cycle() {
-    let dir = tmpdir();
+    let _shared = recording_shared();
+    let dir = tmpdir("cycle");
     let data = dir.join("cs1.aids");
     let model = dir.join("cs1.airm");
     assert!(run(&argv(&[
@@ -188,7 +210,8 @@ fn generate_train_recommend_cycle() {
 
 #[test]
 fn traced_quick_train_emits_schema_valid_telemetry() {
-    let dir = tmpdir();
+    let _exclusive = recording_exclusive();
+    let dir = tmpdir("traced");
     let jsonl = dir.join("quick.jsonl");
     assert!(run(&argv(&[
         "train",
@@ -221,6 +244,23 @@ fn traced_quick_train_emits_schema_valid_telemetry() {
     }
     let epochs = &report.spans.iter().find(|(n, _)| n == "train.epoch").unwrap().1;
     assert_eq!(epochs.count, 2);
+    assert!(report
+        .counters
+        .iter()
+        .any(|(name, value)| name == "train.epochs" && *value == 2));
+
+    // The command switched recording off on its way out: later work moves
+    // no counter.
+    let before = airchitect_telemetry::metrics::snapshot().counters;
+    assert!(run(&argv(&[
+        "search",
+        "--case",
+        "3",
+        "--workloads",
+        "64,64,64;8,8,8;32,16,8;4,4,4"
+    ]))
+    .is_ok());
+    assert_eq!(airchitect_telemetry::metrics::snapshot().counters, before);
 
     // The `report` subcommand accepts the file both ways.
     assert!(run(&argv(&["report", jsonl.to_str().expect("utf8 path")])).is_ok());
@@ -280,8 +320,8 @@ fn train_from_log_fine_tunes_an_existing_model() {
     use airchitect_online::{MispredLog, MispredRecord};
     use airchitect_repro_imports::*;
 
-    let dir = tmpdir().join("from-log");
-    std::fs::create_dir_all(&dir).expect("create log dir");
+    let _shared = recording_shared();
+    let dir = tmpdir("from-log");
     let log_dir = dir.join("log");
 
     // A tiny CS1 model (30 classes over the 2^5-budget space).
@@ -351,12 +391,15 @@ fn train_from_log_fine_tunes_an_existing_model() {
         assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
     }
 
-    // The happy path writes a loadable fine-tuned artifact.
+    // The happy path writes a loadable fine-tuned artifact, and an
+    // untraced command records no telemetry.
+    let before = airchitect_telemetry::metrics::snapshot().counters;
     assert!(run(&argv(&[
         "train", "--from-log", log_s, "--model", base_s, "--out", tuned_s, "--epochs", "2",
         "--lr", "1e-3",
     ]))
     .is_ok());
+    assert_eq!(airchitect_telemetry::metrics::snapshot().counters, before);
     let tuned_model = persist::load(&tuned).expect("fine-tuned artifact loads");
     assert_eq!(tuned_model.config().num_classes, classes);
 

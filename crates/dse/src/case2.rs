@@ -7,7 +7,7 @@
 //! cumulative capacity (paper Sec. III-B), then by lower label.
 
 use airchitect_data::Dataset;
-use airchitect_sim::memory::{self, BufferConfig};
+use airchitect_sim::memory::{self, BufferConfig, StallModel};
 use airchitect_sim::{ArrayConfig, Dataflow};
 use airchitect_workload::distribution::CnnWorkloadSampler;
 use airchitect_workload::GemmWorkload;
@@ -115,7 +115,20 @@ impl Case2Problem {
     /// If the limit admits no configuration (below 3 steps), the smallest
     /// configuration (label 0) is returned — a real system would simply be
     /// built with the minimum buffers.
+    ///
+    /// The buffer-independent half of the stall model is computed once per
+    /// query; each label only folds its own per-operand traffic.
     pub fn search(&self, query: &Case2Query) -> SearchResult {
+        let model = StallModel::new(
+            &query.workload,
+            query.array,
+            query.dataflow,
+            query.bandwidth,
+        )
+        .expect("bandwidth validated by caller");
+        let stalls_at = |i, f, o| {
+            model.stall_cycles(BufferConfig::from_kb(i, f, o).expect("space sizes are non-zero"))
+        };
         let mut best: Option<(u32, u64, u64)> = None; // (label, stalls, total_kb)
         let mut evals = 0u64;
         for (label, i, f, o) in self.space.iter() {
@@ -124,15 +137,7 @@ impl Case2Problem {
                 continue;
             }
             evals += 1;
-            let bufs = BufferConfig::from_kb(i, f, o).expect("space sizes are non-zero");
-            let stalls = memory::stall_cycles(
-                &query.workload,
-                query.array,
-                query.dataflow,
-                bufs,
-                query.bandwidth,
-            )
-            .expect("bandwidth validated by caller");
+            let stalls = stalls_at(i, f, o);
             let cand = (label, stalls, total);
             best = Some(match best {
                 None => cand,
@@ -153,19 +158,14 @@ impl Case2Problem {
                 cost,
                 evaluations: evals,
             },
-            None => SearchResult {
-                label: 0,
-                cost: self
-                    .stalls_of(
-                        &Case2Query {
-                            limit_kb: u64::MAX,
-                            ..*query
-                        },
-                        0,
-                    )
-                    .expect("label 0 always decodes"),
-                evaluations: evals,
-            },
+            None => {
+                let (i, f, o) = self.space.decode(0).expect("label 0 always decodes");
+                SearchResult {
+                    label: 0,
+                    cost: stalls_at(i, f, o),
+                    evaluations: evals,
+                }
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //! runtime and consumes least energy"), then by lower label.
 
 use airchitect_data::Dataset;
-use airchitect_sim::multi::{MultiArraySystem, Schedule, ScheduleCost};
+use airchitect_sim::multi::{Assignment, CostTable, MultiArraySystem, Schedule, ScheduleCost};
+use airchitect_sim::Dataflow;
 use airchitect_workload::distribution::CnnWorkloadSampler;
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
@@ -51,7 +52,8 @@ impl Case3Problem {
     }
 
     /// Cost of the schedule denoted by `label`, or `None` for out-of-space
-    /// labels.
+    /// labels. Simulates the schedule from scratch; [`Case3Problem::search`]
+    /// prices labels from a [`CostTable`] instead.
     pub fn cost_of(&self, workloads: &[GemmWorkload], label: u32) -> Option<ScheduleCost> {
         let (perm, dfs) = self.space.decode(label)?;
         let sched = Schedule::new(&perm, &dfs);
@@ -61,51 +63,81 @@ impl Case3Problem {
     /// Exhaustively searches all schedules for the (makespan, energy)-optimal
     /// one.
     ///
+    /// Every label is scored, but from one [`CostTable`] per query
+    /// (`arrays² · 3` simulator evaluations) rather than by simulating each
+    /// schedule; the result equals the lowest label among those no other
+    /// label's [`Case3Problem::cost_of`] beats.
+    ///
     /// # Panics
     ///
     /// Panics if `workloads.len()` differs from the system's array count.
     pub fn search(&self, workloads: &[GemmWorkload]) -> SearchResult {
-        assert_eq!(
-            workloads.len(),
-            self.system.len(),
-            "need exactly one workload per array"
-        );
-        let mut best: Option<(u32, ScheduleCost)> = None;
-        let mut evals = 0u64;
-        for label in 0..self.space.len() as u32 {
-            let cost = self
-                .cost_of(workloads, label)
-                .expect("all labels decode for matching workload count");
-            evals += 1;
-            best = Some(match best {
-                None => (label, cost),
-                Some(b) => {
-                    if cost.better_than(&b.1) {
-                        (label, cost)
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let (label, cost) = best.expect("space is non-empty");
-        airchitect_telemetry::metrics::DSE_SEARCHES.inc();
-        airchitect_telemetry::metrics::DSE_SEARCH_POINTS.add(evals);
+        let (label, cost) = self.search_table(&self.table(workloads));
         SearchResult {
             label,
             cost: cost.makespan,
-            evaluations: evals,
+            evaluations: self.space.len() as u64,
         }
     }
 
     /// Normalized performance of a predicted label:
     /// `optimal_makespan / predicted_makespan`, in `[0, 1]`.
     pub fn normalized_performance(&self, workloads: &[GemmWorkload], predicted: u32) -> f64 {
-        let best = self.search(workloads).cost;
-        match self.cost_of(workloads, predicted) {
-            Some(c) => best as f64 / c.makespan as f64,
+        let table = self.table(workloads);
+        let best = self.search_table(&table).1.makespan;
+        match self.space.decode(predicted) {
+            Some((perm, dfs)) => {
+                let predicted = table.cost(
+                    perm.iter()
+                        .zip(dfs)
+                        .map(|(&workload, dataflow)| Assignment { workload, dataflow }),
+                );
+                best as f64 / predicted.makespan as f64
+            }
             None => 0.0,
         }
+    }
+
+    fn table(&self, workloads: &[GemmWorkload]) -> CostTable {
+        self.system
+            .cost_table(workloads)
+            .expect("need exactly one workload per array")
+    }
+
+    /// Scores every label from `table` in label order, keeping the first
+    /// strictly better one, so ties go to the lowest label.
+    fn search_table(&self, table: &CostTable) -> (u32, ScheduleCost) {
+        let arrays = self.space.arrays();
+        let codes = self.space.dataflow_codes();
+        let mut best: Option<(u32, ScheduleCost)> = None;
+        let mut label = 0u32;
+        for perm in self.space.permutations() {
+            // Base-3 odometer over the per-array dataflows; the last array
+            // is the least significant digit, matching `Case3Space`.
+            let mut digits = [0usize; Case3Space::MAX_ARRAYS];
+            for _ in 0..codes {
+                let cost = table.cost(perm.iter().zip(&digits[..arrays]).map(|(&workload, &d)| {
+                    Assignment {
+                        workload,
+                        dataflow: Dataflow::ALL[d],
+                    }
+                }));
+                if best.is_none_or(|(_, b)| cost.better_than(&b)) {
+                    best = Some((label, cost));
+                }
+                label += 1;
+                for d in digits[..arrays].iter_mut().rev() {
+                    *d += 1;
+                    if *d < Dataflow::ALL.len() {
+                        break;
+                    }
+                    *d = 0;
+                }
+            }
+        }
+        airchitect_telemetry::metrics::DSE_SEARCHES.inc();
+        airchitect_telemetry::metrics::DSE_SEARCH_POINTS.add(u64::from(label));
+        best.expect("space is non-empty")
     }
 
     /// Feature vector: the 12 workload dimensions in workload order.

@@ -204,6 +204,9 @@ pub struct Case3Space {
 }
 
 impl Case3Space {
+    /// Largest supported array count.
+    pub(crate) const MAX_ARRAYS: usize = 8;
+
     /// Builds the space for `arrays` arrays/workloads.
     ///
     /// # Panics
@@ -212,7 +215,7 @@ impl Case3Space {
     /// `3^x · x!`; 8 arrays is already 264 M labels).
     pub fn new(arrays: usize) -> Self {
         assert!(
-            (1..=8).contains(&arrays),
+            (1..=Self::MAX_ARRAYS).contains(&arrays),
             "arrays must be in 1..=8, got {arrays}"
         );
         let mut perms = Vec::new();
@@ -234,7 +237,18 @@ impl Case3Space {
 
     /// Number of labels (`3^x · x!`).
     pub fn len(&self) -> usize {
-        self.perms.len() * 3usize.pow(self.arrays as u32)
+        self.perms.len() * self.dataflow_codes() as usize
+    }
+
+    /// Dataflow codes per permutation (`3^x`).
+    pub(crate) fn dataflow_codes(&self) -> u32 {
+        3u32.pow(self.arrays as u32)
+    }
+
+    /// The workload permutations in label order: permutation `p` owns
+    /// labels `p · 3^x .. (p + 1) · 3^x`.
+    pub(crate) fn permutations(&self) -> &[Vec<usize>] {
+        &self.perms
     }
 
     /// Always false: at least one array is enforced.
@@ -245,7 +259,7 @@ impl Case3Space {
     /// Decodes a label into `(permutation, dataflows)`: `permutation[i]` is
     /// the workload index run by array `i`.
     pub fn decode(&self, label: u32) -> Option<(Vec<usize>, Vec<Dataflow>)> {
-        let pow = 3u32.pow(self.arrays as u32);
+        let pow = self.dataflow_codes();
         let perm = self.perms.get(label as usize / pow as usize)?.clone();
         let mut code = label % pow;
         let mut dfs = vec![Dataflow::Os; self.arrays];
@@ -266,7 +280,7 @@ impl Case3Space {
         for df in dataflows {
             code = code * 3 + df.index() as u32;
         }
-        Some(perm_idx as u32 * 3u32.pow(self.arrays as u32) + code)
+        Some(perm_idx as u32 * self.dataflow_codes() + code)
     }
 }
 

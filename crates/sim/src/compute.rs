@@ -101,8 +101,12 @@ pub fn compute_lower_bound(workload: &GemmWorkload, array: ArrayConfig) -> u64 {
 
 /// Fraction of MAC-cycles doing useful work: `MACs / (R·C·T)`, in `(0, 1]`.
 pub fn utilization(workload: &GemmWorkload, array: ArrayConfig, dataflow: Dataflow) -> f64 {
-    let t = runtime_cycles(workload, array, dataflow);
-    workload.macs() as f64 / (array.macs() as f64 * t as f64)
+    utilization_of(workload, array, runtime_cycles(workload, array, dataflow))
+}
+
+/// [`utilization`] from already computed runtime cycles.
+pub(crate) fn utilization_of(workload: &GemmWorkload, array: ArrayConfig, cycles: u64) -> f64 {
+    workload.macs() as f64 / (array.macs() as f64 * cycles as f64)
 }
 
 /// Volume of operand elements injected into the array edges, per dataflow.

@@ -243,6 +243,15 @@ impl TrafficReport {
     }
 }
 
+fn traffic_report(reuse: &[OperandReuse; 3], buffers: BufferConfig) -> TrafficReport {
+    let [a, b, c] = reuse;
+    TrafficReport {
+        ifmap: a.traffic(buffers.ifmap_bytes()),
+        filter: b.traffic(buffers.filter_bytes()),
+        ofmap: c.traffic(buffers.ofmap_bytes()),
+    }
+}
+
 /// DRAM traffic for `workload` with the given buffers.
 pub fn dram_traffic(
     workload: &GemmWorkload,
@@ -250,11 +259,78 @@ pub fn dram_traffic(
     dataflow: Dataflow,
     buffers: BufferConfig,
 ) -> TrafficReport {
-    let [a, b, c] = operand_reuse(workload, array, dataflow);
-    TrafficReport {
-        ifmap: a.traffic(buffers.ifmap_bytes()),
-        filter: b.traffic(buffers.filter_bytes()),
-        ofmap: c.traffic(buffers.ofmap_bytes()),
+    traffic_report(&operand_reuse(workload, array, dataflow), buffers)
+}
+
+/// The buffer-independent half of the stall model for one (workload, array,
+/// dataflow, bandwidth) point: the operand reuse descriptors and the
+/// compute cycles. Build it once, then price any number of buffer splits
+/// with [`StallModel::stall_cycles`]; each split only folds per-operand
+/// traffic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StallModel {
+    reuse: [OperandReuse; 3],
+    compute: u64,
+    bandwidth: u64,
+}
+
+impl StallModel {
+    /// Computes the reuse descriptors and compute cycles (one simulator
+    /// evaluation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ZeroBandwidth`] if `bandwidth` is zero.
+    pub fn new(
+        workload: &GemmWorkload,
+        array: ArrayConfig,
+        dataflow: Dataflow,
+        bandwidth: u64,
+    ) -> Result<Self, SimError> {
+        if bandwidth == 0 {
+            return Err(SimError::ZeroBandwidth);
+        }
+        Ok(Self {
+            reuse: operand_reuse(workload, array, dataflow),
+            compute: compute::runtime_cycles(workload, array, dataflow),
+            bandwidth,
+        })
+    }
+
+    /// Stall-free compute cycles.
+    pub fn compute_cycles(&self) -> u64 {
+        self.compute
+    }
+
+    /// Per-operand DRAM traffic with `buffers`.
+    pub fn traffic(&self, buffers: BufferConfig) -> TrafficReport {
+        traffic_report(&self.reuse, buffers)
+    }
+
+    /// Stall cycles with `buffers`; see [`stall_cycles`].
+    pub fn stall_cycles(&self, buffers: BufferConfig) -> u64 {
+        let bufs = [
+            buffers.ifmap_bytes(),
+            buffers.filter_bytes(),
+            buffers.ofmap_bytes(),
+        ];
+        let mut overlapped = 0u64;
+        let mut serialized = 0u64;
+        for (op, &buf) in self.reuse.iter().zip(&bufs) {
+            let traffic = op.traffic(buf);
+            if op.double_buffered(buf) {
+                overlapped += traffic;
+            } else {
+                serialized += traffic;
+            }
+        }
+        // Overlapped traffic hides behind compute; whatever exceeds the
+        // interface's compute-time budget spills into stall bytes, together
+        // with all serialized traffic. A single final ceil keeps the model
+        // monotone in buffer sizes and bandwidth.
+        let hidden_bytes = self.compute.saturating_mul(self.bandwidth);
+        let stall_bytes = overlapped.saturating_sub(hidden_bytes) + serialized;
+        stall_bytes.div_ceil(self.bandwidth)
     }
 }
 
@@ -275,33 +351,7 @@ pub fn stall_cycles(
     buffers: BufferConfig,
     bandwidth: u64,
 ) -> Result<u64, SimError> {
-    if bandwidth == 0 {
-        return Err(SimError::ZeroBandwidth);
-    }
-    let reuse = operand_reuse(workload, array, dataflow);
-    let bufs = [
-        buffers.ifmap_bytes(),
-        buffers.filter_bytes(),
-        buffers.ofmap_bytes(),
-    ];
-    let mut overlapped = 0u64;
-    let mut serialized = 0u64;
-    for (op, &buf) in reuse.iter().zip(&bufs) {
-        let traffic = op.traffic(buf);
-        if op.double_buffered(buf) {
-            overlapped += traffic;
-        } else {
-            serialized += traffic;
-        }
-    }
-    let compute = compute::runtime_cycles(workload, array, dataflow);
-    // Overlapped traffic hides behind compute; whatever exceeds the
-    // interface's compute-time budget spills into stall bytes, together with
-    // all serialized traffic. A single final ceil keeps the model monotone
-    // in buffer sizes and bandwidth.
-    let hidden_bytes = compute.saturating_mul(bandwidth);
-    let stall_bytes = overlapped.saturating_sub(hidden_bytes) + serialized;
-    Ok(stall_bytes.div_ceil(bandwidth))
+    Ok(StallModel::new(workload, array, dataflow, bandwidth)?.stall_cycles(buffers))
 }
 
 /// Total cycles (compute + stalls).
@@ -316,8 +366,8 @@ pub fn total_cycles(
     buffers: BufferConfig,
     bandwidth: u64,
 ) -> Result<u64, SimError> {
-    Ok(compute::runtime_cycles(workload, array, dataflow)
-        + stall_cycles(workload, array, dataflow, buffers, bandwidth)?)
+    let model = StallModel::new(workload, array, dataflow, bandwidth)?;
+    Ok(model.compute_cycles() + model.stall_cycles(buffers))
 }
 
 #[cfg(test)]

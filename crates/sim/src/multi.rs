@@ -139,6 +139,29 @@ impl MultiArraySystem {
         self
     }
 
+    /// The one per-array cost model: cycles and energy of `workload` on
+    /// `inst` under `dataflow`.
+    fn array_cost(
+        &self,
+        inst: &ArrayInstance,
+        workload: &GemmWorkload,
+        dataflow: Dataflow,
+    ) -> ArrayCost {
+        ArrayCost {
+            cycles: inst.cycles(workload, dataflow),
+            energy: self
+                .energy_model
+                .energy(workload, inst.config, dataflow, inst.buffers),
+        }
+    }
+
+    fn mismatch(&self, workloads: usize) -> SimError {
+        SimError::ScheduleMismatch {
+            arrays: self.instances.len(),
+            workloads,
+        }
+    }
+
     /// Evaluates a schedule: every array runs its assigned workload
     /// concurrently.
     ///
@@ -154,26 +177,85 @@ impl MultiArraySystem {
         if schedule.assignments.len() != self.instances.len()
             || workloads.len() != self.instances.len()
         {
-            return Err(SimError::ScheduleMismatch {
-                arrays: self.instances.len(),
-                workloads: workloads.len().max(schedule.assignments.len()),
-            });
+            return Err(self.mismatch(workloads.len().max(schedule.assignments.len())));
         }
-        let mut makespan = 0u64;
-        let mut energy = 0f64;
-        for (inst, asn) in self.instances.iter().zip(&schedule.assignments) {
-            let wl = workloads
-                .get(asn.workload)
-                .ok_or(SimError::ScheduleMismatch {
-                    arrays: self.instances.len(),
-                    workloads: workloads.len(),
-                })?;
-            makespan = makespan.max(inst.cycles(wl, asn.dataflow));
-            energy += self
-                .energy_model
-                .energy(wl, inst.config, asn.dataflow, inst.buffers);
+        if schedule
+            .assignments
+            .iter()
+            .any(|asn| asn.workload >= workloads.len())
+        {
+            return Err(self.mismatch(workloads.len()));
         }
-        Ok(ScheduleCost { makespan, energy })
+        Ok(ScheduleCost::fold(
+            self.instances
+                .iter()
+                .zip(&schedule.assignments)
+                .map(|(inst, asn)| self.array_cost(inst, &workloads[asn.workload], asn.dataflow)),
+        ))
+    }
+
+    /// Prices every (array, workload, dataflow) triple of one workload set
+    /// once, so any number of schedules over it can be costed by lookup
+    /// alone: `arrays² · 3` simulator evaluations (48 for four arrays)
+    /// instead of `arrays` per schedule.
+    ///
+    /// [`CostTable::cost`] equals [`MultiArraySystem::evaluate`] bit for
+    /// bit: both use the same per-array model and the same fold.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ScheduleMismatch`] if there is not exactly one
+    /// workload per array.
+    pub fn cost_table(&self, workloads: &[GemmWorkload]) -> Result<CostTable, SimError> {
+        if workloads.len() != self.instances.len() {
+            return Err(self.mismatch(workloads.len()));
+        }
+        let entries = self
+            .instances
+            .iter()
+            .flat_map(|inst| {
+                workloads.iter().flat_map(move |wl| {
+                    Dataflow::ALL
+                        .iter()
+                        .map(move |&df| self.array_cost(inst, wl, df))
+                })
+            })
+            .collect();
+        Ok(CostTable {
+            workloads: workloads.len(),
+            entries,
+        })
+    }
+}
+
+/// Cycles and energy of one workload on one array under one dataflow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ArrayCost {
+    cycles: u64,
+    energy: f64,
+}
+
+/// Per-(array, workload, dataflow) costs of one workload set on one
+/// system, built by [`MultiArraySystem::cost_table`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostTable {
+    workloads: usize,
+    /// Indexed `(array · workloads + workload) · 3 + dataflow`.
+    entries: Vec<ArrayCost>,
+}
+
+impl CostTable {
+    /// Cost of a schedule given as one assignment per array, in array
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assignment names a workload or array outside the table.
+    pub fn cost(&self, assignments: impl IntoIterator<Item = Assignment>) -> ScheduleCost {
+        ScheduleCost::fold(assignments.into_iter().enumerate().map(|(array, asn)| {
+            assert!(asn.workload < self.workloads, "workload index out of range");
+            self.entries[(array * self.workloads + asn.workload) * 3 + asn.dataflow.index()]
+        }))
     }
 }
 
@@ -240,6 +322,22 @@ pub struct ScheduleCost {
 }
 
 impl ScheduleCost {
+    /// Concurrent execution: the makespan is the slowest array's cycles,
+    /// the energy the sum over arrays, added in array order so the result
+    /// is reproducible to the bit.
+    fn fold(per_array: impl Iterator<Item = ArrayCost>) -> Self {
+        per_array.fold(
+            ScheduleCost {
+                makespan: 0,
+                energy: 0.0,
+            },
+            |acc, c| ScheduleCost {
+                makespan: acc.makespan.max(c.cycles),
+                energy: acc.energy + c.energy,
+            },
+        )
+    }
+
     /// Lexicographic comparison: makespan first, energy as tie-break —
     /// the paper's CS3 optimality criterion.
     pub fn better_than(&self, other: &ScheduleCost) -> bool {
@@ -298,6 +396,29 @@ mod tests {
         let bad = Schedule::new(&[0, 1], &[Dataflow::Os; 2]);
         assert!(matches!(
             sys.evaluate(&wls, &bad),
+            Err(SimError::ScheduleMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn cost_table_prices_schedules_like_evaluate() {
+        let sys = MultiArraySystem::heterogeneous_4();
+        let wls = workloads_4();
+        let table = sys.cost_table(&wls).unwrap();
+        for sched in [
+            Schedule::new(&[0, 1, 2, 3], &[Dataflow::Os; 4]),
+            Schedule::new(
+                &[3, 1, 0, 2],
+                &[Dataflow::Is, Dataflow::Ws, Dataflow::Os, Dataflow::Ws],
+            ),
+        ] {
+            let simulated = sys.evaluate(&wls, &sched).unwrap();
+            let looked_up = table.cost(sched.assignments.iter().copied());
+            assert_eq!(looked_up.makespan, simulated.makespan);
+            assert_eq!(looked_up.energy.to_bits(), simulated.energy.to_bits());
+        }
+        assert!(matches!(
+            sys.cost_table(&wls[..3]),
             Err(SimError::ScheduleMismatch { .. })
         ));
     }

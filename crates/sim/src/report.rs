@@ -4,7 +4,7 @@ use airchitect_workload::GemmWorkload;
 use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyModel;
-use crate::memory::{self, BufferConfig, TrafficReport};
+use crate::memory::{BufferConfig, StallModel, TrafficReport};
 use crate::{compute, ArrayConfig, Dataflow, SimError};
 
 /// Full simulation result for one workload on one array configuration.
@@ -55,16 +55,16 @@ pub fn simulate(
     buffers: BufferConfig,
     bandwidth: u64,
 ) -> Result<SimReport, SimError> {
-    let compute_cycles = compute::runtime_cycles(workload, array, dataflow);
-    let stall_cycles = memory::stall_cycles(workload, array, dataflow, buffers, bandwidth)?;
-    let traffic = memory::dram_traffic(workload, array, dataflow, buffers);
+    let model = StallModel::new(workload, array, dataflow, bandwidth)?;
+    let compute_cycles = model.compute_cycles();
+    let stall_cycles = model.stall_cycles(buffers);
     let energy = EnergyModel::default().energy(workload, array, dataflow, buffers);
     Ok(SimReport {
         compute_cycles,
         stall_cycles,
         total_cycles: compute_cycles + stall_cycles,
-        utilization: compute::utilization(workload, array, dataflow),
-        traffic,
+        utilization: compute::utilization_of(workload, array, compute_cycles),
+        traffic: model.traffic(buffers),
         energy,
     })
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the analytical simulator invariants.
 
 use airchitect_sim::memory::{self, BufferConfig};
+use airchitect_sim::multi::{Assignment, MultiArraySystem, Schedule};
 use airchitect_sim::{compute, ArrayConfig, Dataflow};
 use airchitect_workload::GemmWorkload;
 use proptest::prelude::*;
@@ -106,6 +107,57 @@ proptest! {
         let s1 = memory::stall_cycles(&wl, a, df, b, bw).unwrap();
         let s2 = memory::stall_cycles(&wl, a, df, b, 2 * bw).unwrap();
         prop_assert!(s2 <= s1);
+    }
+
+    /// A cost-table lookup prices any schedule, permutation or not, to the
+    /// same makespan and energy bits as simulating it.
+    #[test]
+    fn cost_table_matches_evaluate_bit_for_bit(
+        dims in proptest::collection::vec((1u64..=2048, 1u64..=2048, 1u64..=2048), 4),
+        picks in proptest::collection::vec((0usize..4, 0usize..3), 4),
+    ) {
+        let wls: Vec<GemmWorkload> = dims
+            .iter()
+            .map(|&(m, n, k)| GemmWorkload::new(m, n, k).unwrap())
+            .collect();
+        let sys = MultiArraySystem::heterogeneous_4();
+        let table = sys.cost_table(&wls).unwrap();
+        let sched = Schedule {
+            assignments: picks
+                .iter()
+                .map(|&(workload, df)| Assignment {
+                    workload,
+                    dataflow: Dataflow::ALL[df],
+                })
+                .collect(),
+        };
+        let simulated = sys.evaluate(&wls, &sched).unwrap();
+        let looked_up = table.cost(sched.assignments.iter().copied());
+        prop_assert_eq!(looked_up.makespan, simulated.makespan);
+        prop_assert_eq!(looked_up.energy.to_bits(), simulated.energy.to_bits());
+    }
+
+    /// The per-query stall model prices every buffer split exactly as the
+    /// one-shot stall and total-cycle functions do.
+    #[test]
+    fn stall_model_matches_one_shot_functions(
+        m in dims(), n in dims(), k in dims(),
+        r in pow2_dim(), c in pow2_dim(), df in dataflow(),
+        ikb in 1u64..=1000, fkb in 1u64..=1000, okb in 1u64..=1000,
+        bw in 1u64..=100,
+    ) {
+        let wl = GemmWorkload::new(m, n, k).unwrap();
+        let a = ArrayConfig::new(r, c).unwrap();
+        let b = BufferConfig::from_kb(ikb, fkb, okb).unwrap();
+        let model = memory::StallModel::new(&wl, a, df, bw).unwrap();
+        let stalls = memory::stall_cycles(&wl, a, df, b, bw).unwrap();
+        prop_assert_eq!(model.stall_cycles(b), stalls);
+        prop_assert_eq!(model.compute_cycles(), compute::runtime_cycles(&wl, a, df));
+        prop_assert_eq!(
+            memory::total_cycles(&wl, a, df, b, bw).unwrap(),
+            model.compute_cycles() + stalls
+        );
+        prop_assert_eq!(model.traffic(b), memory::dram_traffic(&wl, a, df, b));
     }
 }
 

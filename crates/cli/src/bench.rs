@@ -2613,7 +2613,6 @@ fn bench_c10k(out_dir: &str, quick: bool) -> Result<(), CliError> {
         read_timeout_secs: 300,
         write_timeout_secs: 30,
         event_loops: cores.clamp(2, 8),
-        threaded: false,
         ..ServeConfig::default()
     };
     let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;

@@ -215,8 +215,8 @@ COMMANDS:
              --fallback search answers from exhaustive DSE search (stamped
              "source":"search" + a Warning header) when a circuit is open or
              a model failed to load, instead of 5xx.
-             --nodelay sets TCP_NODELAY on accepted sockets in both
-             listener modes (also via AIRCHITECT_SERVE_NODELAY=1).
+             --nodelay sets TCP_NODELAY on accepted sockets (also via
+             AIRCHITECT_SERVE_NODELAY=1).
              --shadow-oracle RATE --shadow-log-dir DIR
              [--shadow-queue-depth D] [--shadow-threads T]
              samples RATE (0..=1, deterministic per query) of admitted

@@ -40,7 +40,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         "fallback",
         "no-bypass",
         "event-loops",
-        "threaded",
         "nodelay",
         "shadow-oracle",
         "shadow-log-dir",
@@ -194,9 +193,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         fallback_search,
         single_query_bypass: !args.flag("no-bypass"),
         event_loops: args.u64_or("event-loops", 0)? as usize,
-        // The env default keeps one invocation form usable in both modes
-        // (CI runs every suite twice that way).
-        threaded: args.flag("threaded") || ServeConfig::default().threaded,
         nodelay: args.flag("nodelay") || ServeConfig::default().nodelay,
         shadow_rate,
         shadow_dir: args.optional("shadow-log-dir").map(PathBuf::from),
@@ -208,6 +204,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         canary_min_agreement,
         canary_max_p99_ratio,
         rollout_timeout_ms: args.u64_or("rollout-timeout-ms", 30_000)?,
+        ..ServeConfig::default()
     };
 
     if args.flag("cluster") {
@@ -272,11 +269,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     // Parseable by scripts: `--port 0` binds an ephemeral port, and this
     // line is the only way to learn which one.
     println!("listening on http://{}", server.local_addr());
-    if server.event_loops() > 0 {
-        println!("listener: evented, {} event loop(s)", server.event_loops());
-    } else {
-        println!("listener: thread-per-connection");
-    }
+    println!("listener: evented, {} event loop(s)", server.event_loops());
     println!(
         "routes: POST /v1/recommend/{{array|buffers|schedule}} | POST /v1/reload | \
          POST /v1/rollback | POST /v1/shutdown | GET /healthz | GET /metrics"

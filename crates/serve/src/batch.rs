@@ -1,6 +1,6 @@
 //! Bounded admission queue and the micro-batching worker pool.
 //!
-//! Connection threads validate and enqueue [`Job`]s; a fixed pool of
+//! The listener's shards validate and enqueue [`Job`]s; a fixed pool of
 //! workers drains the queue in batches of up to `batch_max`, snapshots the
 //! current model **once per batch per case study**, and answers every job
 //! in the batch from that snapshot. The snapshot discipline is what makes
@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -75,11 +74,11 @@ pub enum Source {
     Search,
 }
 
-/// A worker's answer, ready for HTTP framing by the connection thread.
+/// A worker's answer, ready for HTTP framing by the owning shard.
 #[derive(Debug, Clone)]
 pub enum Outcome {
     /// Success: the rendered response JSON minus its leading `{` (the
-    /// connection thread prepends `{"cached":...,`), plus the generation of
+    /// shard prepends `{"cached":...,`), plus the generation of
     /// the model that produced it (for cache stamping).
     Ok {
         /// Rendered JSON tail.
@@ -101,40 +100,26 @@ pub enum Outcome {
     },
 }
 
-/// How a worker delivers its [`Outcome`] back to whoever queued the job.
-///
-/// The threaded listener blocks a connection thread on an mpsc receiver;
-/// the evented listener cannot block anything, so its replies land on the
-/// owning shard's [`CompletionQueue`] and an eventfd wake re-arms the
-/// connection inside the loop.
+/// Where a worker delivers its [`Outcome`]: the shard that queued the job
+/// never blocks on it, so the reply lands on that shard's
+/// [`CompletionQueue`] and an eventfd wake re-arms the connection inside
+/// the loop.
 #[derive(Debug)]
-pub enum Reply {
-    /// Blocking delivery: the connection thread waits on the paired
-    /// receiver (threaded listener).
-    Channel(mpsc::Sender<Outcome>),
-    /// Non-blocking delivery: push onto the shard's completion queue and
-    /// wake its event loop (evented listener).
-    Completion {
-        /// The owning shard's completion queue.
-        queue: Arc<CompletionQueue>,
-        /// Connection token (slot index + generation) on that shard.
-        conn: u64,
-        /// Per-connection request sequence number, so a late reply for an
-        /// already-504'd request is discarded instead of misdelivered.
-        req: u64,
-    },
+pub struct Reply {
+    /// The owning shard's completion queue.
+    pub queue: Arc<CompletionQueue>,
+    /// Connection token (slot index + generation) on that shard.
+    pub conn: u64,
+    /// Per-connection request sequence number, so a late reply for an
+    /// already-504'd request is discarded instead of misdelivered.
+    pub req: u64,
 }
 
 impl Reply {
-    /// Delivers `outcome`. A hung-up receiver (client gone) is dropped
-    /// silently in both modes.
+    /// Delivers `outcome`. If the client has gone, the shard discards it
+    /// by token.
     pub fn send(&self, outcome: Outcome) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(outcome);
-            }
-            Reply::Completion { queue, conn, req } => queue.push(*conn, *req, outcome),
-        }
+        self.queue.push(self.conn, self.req, outcome);
     }
 }
 
@@ -382,7 +367,6 @@ fn worker_loop(
                 .get_or_insert_with(|| hub.get(job.query.case()))
                 .clone();
             let outcome = answer_job(&job, snap.as_deref(), breakers, fallback);
-            // A dead receiver just means the client hung up; drop silently.
             job.reply.send(outcome);
         }
     }
@@ -588,11 +572,11 @@ pub fn execute(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
 /// Runs one top-1 query inline on the int8-quantized hot path and renders
 /// exactly the body [`execute`] produces for `topk == 0`. This is the
 /// listener's single-query bypass: no queue hop, no micro-batch, no
-/// worker thread — the connection thread answers directly.
+/// worker thread — the shard answers directly.
 ///
 /// The `serve.infer` failpoint fires here as on the batched path, so
 /// injected inference faults (and the breaker accounting the caller does
-/// on them) behave identically in both modes.
+/// on them) behave identically on both paths.
 pub fn execute_fast(model: &LoadedModel, query: &RecQuery) -> Outcome {
     airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
         status: 500,
@@ -715,49 +699,43 @@ pub(crate) fn render_schedule(
 mod tests {
     use super::*;
 
-    fn dummy_job(tag: u64) -> (Job, mpsc::Receiver<Outcome>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Job {
-                query: RecQuery::Array {
-                    workload: GemmWorkload::new(tag + 1, 64, 64).unwrap(),
-                    mac_budget: 1024,
-                },
-                topk: 0,
-                reply: Reply::Channel(tx),
-                deadline: None,
+    fn dummy_job(tag: u64) -> Job {
+        Job {
+            query: RecQuery::Array {
+                workload: GemmWorkload::new(tag + 1, 64, 64).unwrap(),
+                mac_budget: 1024,
             },
-            rx,
-        )
+            topk: 0,
+            reply: Reply {
+                queue: Arc::new(CompletionQueue::new().unwrap()),
+                conn: tag,
+                req: tag,
+            },
+            deadline: None,
+        }
     }
 
     #[test]
     fn full_queue_rejects_immediately() {
         let q = Queue::new(2);
-        let (j1, _r1) = dummy_job(1);
-        let (j2, _r2) = dummy_job(2);
-        let (j3, _r3) = dummy_job(3);
-        q.push(j1).unwrap();
-        q.push(j2).unwrap();
-        assert_eq!(q.push(j3).unwrap_err(), PushError::Full);
+        q.push(dummy_job(1)).unwrap();
+        q.push(dummy_job(2)).unwrap();
+        assert_eq!(q.push(dummy_job(3)).unwrap_err(), PushError::Full);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn zero_depth_rejects_everything() {
         let q = Queue::new(0);
-        let (j, _r) = dummy_job(1);
-        assert_eq!(q.push(j).unwrap_err(), PushError::Full);
+        assert_eq!(q.push(dummy_job(1)).unwrap_err(), PushError::Full);
     }
 
     #[test]
     fn shutdown_refuses_new_work_but_drains_old() {
         let q = Queue::new(8);
-        let (j1, _r1) = dummy_job(1);
-        q.push(j1).unwrap();
+        q.push(dummy_job(1)).unwrap();
         q.shutdown();
-        let (j2, _r2) = dummy_job(2);
-        assert_eq!(q.push(j2).unwrap_err(), PushError::ShuttingDown);
+        assert_eq!(q.push(dummy_job(2)).unwrap_err(), PushError::ShuttingDown);
         assert_eq!(q.pop_batch(16).len(), 1, "queued job survives shutdown");
         assert!(q.pop_batch(16).is_empty(), "then the exit signal");
     }
@@ -765,11 +743,8 @@ mod tests {
     #[test]
     fn pop_batch_respects_batch_max() {
         let q = Queue::new(16);
-        let mut receivers = Vec::new();
         for i in 0..10 {
-            let (j, r) = dummy_job(i);
-            q.push(j).unwrap();
-            receivers.push(r);
+            q.push(dummy_job(i)).unwrap();
         }
         assert_eq!(q.pop_batch(4).len(), 4);
         assert_eq!(q.pop_batch(4).len(), 4);

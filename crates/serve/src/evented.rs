@@ -5,8 +5,9 @@
 //! Each connection moves through a small cycle driven entirely by
 //! readiness: **read** (append to a growing buffer) → **parse**
 //! (incremental [`try_parse`]; partial heads/bodies just wait for more
-//! bytes) → **dispatch** (the same [`handle_request_step`] the threaded
-//! listener uses) → **write** (buffered, flushed as `EPOLLOUT` allows).
+//! bytes) → **dispatch** ([`handle_request_step`], where every routing and
+//! admission decision is made) → **write** (buffered, flushed as
+//! `EPOLLOUT` allows).
 //! A request the dispatcher queues for the batch workers parks the
 //! connection as `pending`; the worker's outcome comes back through the
 //! shard's [`CompletionQueue`], whose eventfd wakes the loop without the
@@ -17,8 +18,8 @@
 //! connections close at the read timeout, stalled writers at the write
 //! timeout, and a pending request whose deadline passes is answered 504
 //! *by the shard* — the worker's late outcome is then discarded by
-//! request-id mismatch, which is exactly the semantics the chaos suite
-//! pins for the threaded path (timely 504 even with a stuck worker).
+//! request-id mismatch, so a stuck worker still yields a timely 504 (the
+//! chaos suite pins this).
 
 #![cfg(target_os = "linux")]
 
@@ -354,10 +355,9 @@ impl Shard {
             }
             if inner.shutdown.load(Ordering::Acquire) && self.conns.live == 0 {
                 // Drain complete. Connections owed a response closed when
-                // it flushed; idle keep-alive connections got the same
-                // read-timeout window to submit one last request (answered
-                // 503 draining) that the threaded listener's join gives
-                // them, then the sweep closed them.
+                // it flushed; idle keep-alive connections got one
+                // read-timeout window to submit a last request (answered
+                // 503 draining), then the sweep closed them.
                 return Ok(());
             }
         }
@@ -366,7 +366,7 @@ impl Shard {
     /// Accepts up to [`ACCEPT_BATCH`] sockets. Transient errors back off
     /// briefly and rely on level-triggered epoll to re-report readiness;
     /// a persistent streak (> [`MAX_ACCEPT_ERRORS`]) is fatal for the
-    /// shard, mirroring the threaded accept loop.
+    /// shard.
     fn accept_burst(&mut self, inner: &Arc<Inner>) -> Result<(), ServeError> {
         for _ in 0..ACCEPT_BATCH {
             #[allow(clippy::redundant_closure_call)]
@@ -378,8 +378,7 @@ impl Shard {
                 Ok((stream, _)) => {
                     self.accept_errors = 0;
                     if inner.shutdown.load(Ordering::Acquire) {
-                        // Draining: the socket closes without a response,
-                        // exactly like the threaded wake-up connection.
+                        // Draining: the socket closes without a response.
                         drop(stream);
                         continue;
                     }
@@ -483,7 +482,7 @@ impl Shard {
     }
 
     /// Reads until `WouldBlock` or EOF. `Err(())` means a socket error —
-    /// close without ceremony, like the threaded path.
+    /// close without ceremony.
     fn fill_read_buf(&mut self, idx: usize) -> Result<(), ()> {
         let Some(conn) = self.conns.get_mut(idx) else {
             return Err(());
@@ -507,9 +506,8 @@ impl Shard {
     }
 
     /// Parses and dispatches as many buffered requests as possible.
-    /// Strictly serial per connection (like the threaded loop): nothing
-    /// parses while a response is pending or unflushed, so pipelined
-    /// requests are answered in order.
+    /// Strictly serial per connection: nothing parses while a response is
+    /// pending or unflushed, so pipelined requests are answered in order.
     fn process_buffer(&mut self, idx: usize, inner: &Arc<Inner>) {
         loop {
             let parse = {
@@ -578,17 +576,14 @@ impl Shard {
             conn.next_req += 1;
             (conn.token, req_id)
         };
-        let completions = Arc::clone(&self.completions);
-        let (step, wants_shutdown) = handle_request_step(request, inner, &mut || {
-            Reply::Completion {
-                queue: Arc::clone(&completions),
-                conn: token,
-                req: req_id,
-            }
-        });
-        match step {
+        let reply = &mut || Reply {
+            queue: Arc::clone(&self.completions),
+            conn: token,
+            req: req_id,
+        };
+        match handle_request_step(request, inner, reply) {
             Step::Respond(resp) => {
-                let draining = wants_shutdown || inner.shutdown.load(Ordering::Acquire);
+                let draining = inner.shutdown.load(Ordering::Acquire);
                 self.respond(idx, &resp, request.keep_alive && !draining);
             }
             Step::Queued {
@@ -605,14 +600,6 @@ impl Shard {
                         keep_alive: request.keep_alive,
                     });
                 }
-            }
-        }
-        if wants_shutdown {
-            // The 200 is already buffered on this connection; now start
-            // the drain and wake every shard so none sleeps through it.
-            inner.shutdown.store(true, Ordering::Release);
-            for shard in &inner.shards {
-                shard.completions.wake();
             }
         }
     }

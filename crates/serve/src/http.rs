@@ -4,11 +4,11 @@
 //! encoding, no TLS, no multiplexing.
 //!
 //! Two parsing front-ends share one grammar: [`read_request`] blocks on a
-//! `BufRead` (threaded listener, cluster proxy, test clients) and
-//! [`try_parse`] makes a resumable attempt over whatever bytes a
-//! nonblocking socket has delivered so far (evented listener). Both route
-//! every request line and header through the same `Head` builder, so the
-//! two listeners cannot drift on protocol decisions.
+//! `BufRead` (cluster router, test clients) and [`try_parse`] makes a
+//! resumable attempt over whatever bytes a nonblocking socket has
+//! delivered so far (the server's event loops). Both cut lines with
+//! `strip_line_end` and route every request line and header through the
+//! same `Head` builder, so the two cannot drift on protocol decisions.
 
 use std::io::{BufRead, Write};
 
@@ -183,7 +183,10 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
     }
     let mut head = Head::start(&line)?;
     loop {
-        read_crlf_line(reader, &mut line, &mut head_bytes)?;
+        if read_crlf_line(reader, &mut line, &mut head_bytes)? == 0 {
+            // EOF before the blank line: the head never ended.
+            return Err(bad(400, "truncated request"));
+        }
         if line.is_empty() {
             break; // end of headers
         }
@@ -225,14 +228,18 @@ fn read_crlf_line<R: BufRead>(
     if n > 0 && raw.last() != Some(&b'\n') {
         return Err(bad(400, "truncated request"));
     }
-    while matches!(raw.last(), Some(b'\n' | b'\r')) {
-        raw.pop();
-    }
-    match std::str::from_utf8(&raw) {
+    match std::str::from_utf8(strip_line_end(&raw)) {
         Ok(s) => line.push_str(s),
         Err(_) => return Err(bad(400, "request head is not valid UTF-8")),
     }
     Ok(n)
+}
+
+/// Strips a head line's `\n` and at most one `\r` before it. Any other
+/// `\r` stays in the line, where the header grammar rejects it.
+fn strip_line_end(line: &[u8]) -> &[u8] {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    line.strip_suffix(b"\r").unwrap_or(line)
 }
 
 fn map_io(e: std::io::Error) -> ReadError {
@@ -259,7 +266,7 @@ pub enum Parsed {
     Partial,
 }
 
-/// Incremental request parser for the evented listener: makes one attempt
+/// Incremental request parser for the event loops: makes one attempt
 /// over everything a nonblocking socket has delivered so far. Stateless —
 /// re-parsing a small head on each readiness event is cheaper than
 /// carrying parser state, and the head cap bounds the work.
@@ -286,11 +293,7 @@ pub fn try_parse(buf: &[u8]) -> Result<Parsed, ReadError> {
         if next > MAX_HEAD_BYTES {
             return Err(bad(413, "request head too large"));
         }
-        let mut line = &buf[pos..nl];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
-        }
-        let line = std::str::from_utf8(line)
+        let line = std::str::from_utf8(strip_line_end(&buf[pos..next]))
             .map_err(|_| bad(400, "request head is not valid UTF-8"))?;
         pos = next;
         match head.as_mut() {

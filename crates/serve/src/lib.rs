@@ -22,18 +22,15 @@
 //!   registered model files (checksum-verified by the `AIRM` codec) and
 //!   atomically swaps an `Arc` per case study. In-flight batches finish on
 //!   the model they snapshotted; no request ever mixes two models.
-//! * **Evented c10k core** ([`listener`], `evented`, `reactor`) — on
-//!   Linux the default listener is N event-loop shards, each with its own
-//!   `SO_REUSEPORT` acceptor and epoll reactor driving nonblocking
-//!   connection state machines; batch-worker replies re-arm their
-//!   connection through a completion queue + eventfd wakeup. The legacy
-//!   thread-per-connection listener stays behind `--threaded` (and is the
-//!   only mode off-Linux). Both share one dispatch path, so admission
-//!   control, deadlines, breakers, caching, bypass, and chaos semantics
-//!   are identical.
+//! * **Evented c10k core** ([`listener`], `evented`, `reactor`) — the
+//!   listener is N event-loop shards, each with its own `SO_REUSEPORT`
+//!   acceptor and epoll reactor driving nonblocking connection state
+//!   machines; batch-worker replies re-arm their connection through a
+//!   completion queue + eventfd wakeup. The reactor is epoll, so serving
+//!   needs Linux.
 //! * **Graceful shutdown** ([`listener`]) — `POST /v1/shutdown` stops the
-//!   accept loop, lets the workers drain the queue, joins every connection
-//!   thread (or shard), and returns from [`Server::run`] so the process
+//!   shards accepting, lets the workers drain the queue, waits for every
+//!   connection to close, and returns from [`Server::run`] so the process
 //!   can exit 0.
 //! * **Cluster mode** ([`supervisor`], [`ring`], [`proxy`]) — `serve
 //!   --cluster` supervises N single-process replicas as child processes
@@ -108,8 +105,7 @@ pub struct ServeConfig {
     /// how long graceful shutdown waits for silent connections.
     pub read_timeout_secs: u64,
     /// Socket write timeout per connection, seconds; zero disables it. A
-    /// reader that stops draining its socket cannot pin a connection
-    /// thread forever.
+    /// reader that stops draining its socket is closed after this long.
     pub write_timeout_secs: u64,
     /// Default end-to-end request budget in milliseconds; zero disables
     /// server-side deadlines. Clients may tighten (never extend) it per
@@ -134,17 +130,17 @@ pub struct ServeConfig {
     /// quantizer rejected all take the queue path unchanged. Disable to
     /// force every request through the queue (admission-control tests).
     pub single_query_bypass: bool,
-    /// Event-loop shards for the evented listener (each gets its own
+    /// Event-loop shards for the listener (each gets its own
     /// `SO_REUSEPORT` acceptor and epoll reactor); zero auto-selects from
-    /// the CPU count. Ignored in threaded mode.
+    /// the CPU count.
     pub event_loops: usize,
-    /// Use the legacy thread-per-connection listener instead of the
-    /// evented one. Forced on for non-Linux targets (the reactor is built
-    /// on epoll). Defaults to the `AIRCHITECT_SERVE_THREADED` environment
-    /// variable so one test binary can exercise both listeners.
+    /// Must stay `false`: [`Server::bind`] rejects `true` with
+    /// [`ServeError::Config`], because the evented listener is the only
+    /// one. The field is kept so struct literals that set it (the
+    /// benchmark harness's does) still compile.
     pub threaded: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets (both listener modes):
-    /// trades Nagle batching for first-byte latency on small responses.
+    /// Opt-in `TCP_NODELAY` on accepted sockets: trades Nagle batching
+    /// for first-byte latency on small responses.
     /// Defaults to the `AIRCHITECT_SERVE_NODELAY` environment variable.
     pub nodelay: bool,
     /// Shadow-oracle sampling rate in `0.0..=1.0`; zero disables the
@@ -199,7 +195,7 @@ impl Default for ServeConfig {
             fallback_search: false,
             single_query_bypass: true,
             event_loops: 0,
-            threaded: std::env::var_os("AIRCHITECT_SERVE_THREADED").is_some_and(|v| v != "0"),
+            threaded: false,
             nodelay: std::env::var_os("AIRCHITECT_SERVE_NODELAY").is_some_and(|v| v != "0"),
             shadow_rate: 0.0,
             shadow_dir: None,

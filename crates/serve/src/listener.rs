@@ -1,33 +1,27 @@
-//! The server: accept handling, request dispatch, and the graceful
-//! drain-then-exit shutdown sequence — in two listener modes sharing one
-//! dispatch path.
+//! The server: binding, request dispatch, and the graceful drain-then-exit
+//! shutdown sequence.
 //!
-//! * **Evented** (default on Linux): N event-loop shards, each with its
-//!   own `SO_REUSEPORT` acceptor and epoll reactor ([`crate::evented`]).
-//!   Connections are nonblocking state machines; batch-worker replies
-//!   come back through a completion queue + eventfd wake.
-//! * **Threaded** (`--threaded`, and the only mode off-Linux): one OS
-//!   thread per connection, with a timer-based reaper so finished handles
-//!   are released without waiting for the next accept.
-//!
-//! Both modes call [`handle_request_step`] for every request, so routing,
-//! admission control, deadlines, breakers, caching, bypass, and chaos
-//! semantics are decided in exactly one place.
+//! The listener is N event-loop shards, each with its own `SO_REUSEPORT`
+//! acceptor and epoll reactor (`crate::evented`). Connections are
+//! nonblocking state machines; batch-worker replies come back through a
+//! completion queue + eventfd wake. Every request goes through
+//! [`handle_request_step`], so routing, admission control, deadlines,
+//! breakers, caching, bypass, and chaos semantics are decided in exactly
+//! one place.
 //!
 //! Shutdown protocol (`POST /v1/shutdown`):
 //!
-//! 1. the handling connection gets its `200` *before* anything stops;
-//! 2. the shutdown flag flips, so every connection closes after its
-//!    in-flight request and the accept paths stop admitting sockets;
+//! 1. the shutdown flag flips and every shard wakes, so connections close
+//!    after their in-flight request and the shards stop admitting sockets;
+//! 2. the handling connection gets its `200`; any request a shard
+//!    dispatches after the flip answers `503 draining`;
 //! 3. the queue stops admitting jobs but drains what it holds; workers
 //!    exit once it is empty;
-//! 4. [`Server::run`] joins every worker and connection (thread or
-//!    shard) and returns `Ok`, letting the process exit 0.
+//! 4. [`Server::run`] joins every worker and shard and returns `Ok`,
+//!    letting the process exit 0.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,8 +32,10 @@ use crate::batch::{spawn_workers, CompletionQueue, Job, PushError, Queue, Reply,
 use crate::breaker::{Admit, Breakers};
 use crate::cache::{CachedResponse, LruCache};
 use crate::canary::{Rollout, RolloutConfig};
+#[cfg(target_os = "linux")]
+use crate::evented;
 use crate::fallback::{self, Oracle};
-use crate::http::{read_request, write_response, ReadError, Request, Response};
+use crate::http::{Request, Response};
 use crate::registry::{Registry, DEFAULT_RETAIN};
 use crate::reload::ModelHub;
 use crate::router::{self, Route};
@@ -54,45 +50,32 @@ const MAX_DEADLINE_MS: u64 = 600_000;
 /// should never kill an otherwise healthy server.
 pub(crate) const MAX_ACCEPT_ERRORS: u32 = 64;
 
-/// How often the threaded listener's reaper sweeps finished connection
-/// handles.
-const REAP_INTERVAL: Duration = Duration::from_millis(200);
+/// Off Linux there is no listener: the event loops are built on epoll.
+/// This stand-in keeps the crate compiling there and makes
+/// [`Server::bind`] fail with a configuration error that says so.
+#[cfg(not(target_os = "linux"))]
+mod evented {
+    use std::net::SocketAddr;
+    use std::sync::Arc;
 
-/// One step of a blocking accept loop shared by the threaded server and
-/// the cluster router: transient failures back off and retry (pending
-/// connections stay in the kernel backlog), a persistent streak errors
-/// out, and a failure observed while `shutdown` is set ends the loop
-/// cleanly. Returns `Ok(None)` for "stop accepting".
-pub(crate) fn accept_with_retry(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-    errors: &mut u32,
-    point: &'static str,
-) -> Result<Option<(TcpStream, SocketAddr)>, ServeError> {
-    loop {
-        // The closure gives the failpoint's injected error an early
-        // return target without leaving the loop.
-        #[allow(clippy::redundant_closure_call)]
-        let attempt = (|| {
-            airchitect_chaos::fail_point!(point, Err);
-            listener.accept()
-        })();
-        match attempt {
-            Ok(pair) => {
-                *errors = 0;
-                return Ok(Some(pair));
-            }
-            Err(e) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-                *errors += 1;
-                if *errors > MAX_ACCEPT_ERRORS {
-                    return Err(ServeError::Io(format!("accept: {e}")));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+    use super::{Inner, ShardStats};
+    use crate::batch::CompletionQueue;
+    use crate::{ServeConfig, ServeError};
+
+    pub(crate) struct ShardSeed {
+        pub(crate) addr: SocketAddr,
+        pub(crate) stats: Arc<ShardStats>,
+        pub(crate) completions: Arc<CompletionQueue>,
+    }
+
+    pub(crate) fn bind_shards(_: &ServeConfig) -> Result<Vec<ShardSeed>, ServeError> {
+        Err(ServeError::Config(
+            "the listener is an epoll reactor; serving needs Linux".into(),
+        ))
+    }
+
+    pub(crate) fn run_shards(_: Vec<ShardSeed>, _: &Arc<Inner>) -> Result<(), ServeError> {
+        Ok(())
     }
 }
 
@@ -116,7 +99,7 @@ pub(crate) struct ShardHandle {
     pub(crate) completions: Arc<CompletionQueue>,
 }
 
-/// State shared by every accept path and connection.
+/// State shared by every shard and connection.
 pub(crate) struct Inner {
     pub(crate) hub: Arc<ModelHub>,
     pub(crate) queue: Arc<Queue>,
@@ -127,27 +110,15 @@ pub(crate) struct Inner {
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) deadline_ms: u64,
     pub(crate) bypass: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets (both listener modes).
+    /// Opt-in `TCP_NODELAY` on accepted sockets.
     pub(crate) nodelay: bool,
     /// Shadow-oracle sampling pipeline; `None` when disabled.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,
     /// Canary rollout controller (inert when the split is zero and no
     /// registry is attached, but always present so dispatch is uniform).
     pub(crate) rollout: Rollout,
-    /// Evented shards (empty in threaded mode).
+    /// One handle per event-loop shard.
     pub(crate) shards: Vec<ShardHandle>,
-    /// Live connection threads (zero in evented mode).
-    pub(crate) threaded_open: AtomicU64,
-}
-
-enum Mode {
-    Threaded {
-        listener: TcpListener,
-    },
-    #[cfg(target_os = "linux")]
-    Evented {
-        shards: Vec<crate::evented::ShardSeed>,
-    },
 }
 
 /// A bound, ready-to-run inference server. Dropping it without calling
@@ -157,8 +128,7 @@ pub struct Server {
     addr: SocketAddr,
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    mode: Mode,
-    event_loops: usize,
+    shards: Vec<evented::ShardSeed>,
 }
 
 impl Server {
@@ -171,6 +141,11 @@ impl Server {
     /// Returns [`ServeError`] for bad configuration, model load failures,
     /// or bind failures.
     pub fn bind(config: &ServeConfig) -> Result<Self, ServeError> {
+        if config.threaded {
+            return Err(ServeError::Config(
+                "`threaded` is no longer supported: the evented listener is the only one".into(),
+            ));
+        }
         airchitect_telemetry::enable();
         // Registry mode: boot from the stable `current.airm` copy so a
         // restart (even one SIGKILLed mid-rollout) lands on the version
@@ -228,36 +203,15 @@ impl Server {
         ));
         let fallback = config.fallback_search.then(|| Arc::new(Oracle::new()));
 
-        #[cfg(target_os = "linux")]
-        let use_evented = !config.threaded;
-        #[cfg(not(target_os = "linux"))]
-        let use_evented = false;
-
-        let (mode, addr, shard_handles, event_loops) = if use_evented {
-            #[cfg(target_os = "linux")]
-            {
-                let seeds = crate::evented::bind_shards(config)?;
-                let addr = seeds[0].addr;
-                let handles = seeds
-                    .iter()
-                    .map(|s| ShardHandle {
-                        stats: Arc::clone(&s.stats),
-                        completions: Arc::clone(&s.completions),
-                    })
-                    .collect::<Vec<_>>();
-                let n = seeds.len();
-                (Mode::Evented { shards: seeds }, addr, handles, n)
-            }
-            #[cfg(not(target_os = "linux"))]
-            unreachable!("evented mode is Linux-only")
-        } else {
-            let listener = TcpListener::bind(&config.addr)
-                .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-            (Mode::Threaded { listener }, addr, Vec::new(), 0)
-        };
+        let shards = evented::bind_shards(config)?;
+        let addr = shards[0].addr;
+        let shard_handles = shards
+            .iter()
+            .map(|s| ShardHandle {
+                stats: Arc::clone(&s.stats),
+                completions: Arc::clone(&s.completions),
+            })
+            .collect();
 
         let queue = Arc::new(Queue::new(config.queue_depth));
         let workers = spawn_workers(
@@ -285,11 +239,9 @@ impl Server {
                 shadow: crate::shadow::ShadowState::start(config)?,
                 rollout,
                 shards: shard_handles,
-                threaded_open: AtomicU64::new(0),
             }),
             workers,
-            mode,
-            event_loops,
+            shards,
         })
     }
 
@@ -298,49 +250,32 @@ impl Server {
         self.addr
     }
 
-    /// Number of event-loop shards (0 in threaded mode).
+    /// Number of event-loop shards.
     pub fn event_loops(&self) -> usize {
-        self.event_loops
+        self.inner.shards.len()
     }
 
     /// Serves until `POST /v1/shutdown`, then drains and joins everything.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] only for accept failures; per-connection
-    /// errors are handled inside their own thread or shard.
+    /// Returns [`ServeError::Io`] only when a shard fails (epoll, or a
+    /// persistent accept-error streak); per-connection errors are handled
+    /// inside their shard.
     pub fn run(self) -> Result<(), ServeError> {
         let Server {
-            addr,
             inner,
-            mut workers,
-            mode,
+            workers,
+            shards,
             ..
         } = self;
-        let result = match mode {
-            Mode::Threaded { listener } => {
-                let connections = ReapedSet::start(REAP_INTERVAL);
-                let result = run_threaded_accept(&listener, &inner, &connections);
-                // Drain: no new jobs, workers exit when the queue is
-                // empty, then every connection thread is joined.
-                inner.queue.shutdown();
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-                connections.finish();
-                let _ = addr; // threaded shutdown self-connects via `initiate_shutdown`
-                result
-            }
-            #[cfg(target_os = "linux")]
-            Mode::Evented { shards } => {
-                let result = crate::evented::run_shards(shards, &inner);
-                inner.queue.shutdown();
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-                result
-            }
-        };
+        let result = evented::run_shards(shards, &inner);
+        // The shards have exited: no new jobs, and the workers exit once
+        // the queue is empty.
+        inner.queue.shutdown();
+        for handle in workers {
+            let _ = handle.join();
+        }
         // Drain the shadow pool last: in-flight oracle records land in the
         // log (with their end line) before the process exits.
         if let Some(shadow) = &inner.shadow {
@@ -350,185 +285,14 @@ impl Server {
     }
 }
 
-fn run_threaded_accept(
-    listener: &TcpListener,
-    inner: &Arc<Inner>,
-    connections: &ReapedSet,
-) -> Result<(), ServeError> {
-    let mut accept_errors = 0u32;
-    loop {
-        let (stream, _) = match accept_with_retry(
-            listener,
-            &inner.shutdown,
-            &mut accept_errors,
-            "serve.listener.accept",
-        )? {
-            Some(pair) => pair,
-            None => return Ok(()),
-        };
-        if inner.shutdown.load(Ordering::Acquire) {
-            // The wake-up connection (or a late client); don't serve it.
-            return Ok(());
-        }
-        let inner = Arc::clone(inner);
-        connections.push(
-            std::thread::Builder::new()
-                .name("serve-conn".into())
-                .spawn(move || handle_connection(stream, &inner))
-                .expect("spawn connection thread"),
-        );
-    }
-}
-
-/// Connection-thread handles for the threaded listener, reaped on a
-/// timer. The accept loop used to sweep finished handles only on the
-/// *next* accept, so an idle server after a burst held every handle until
-/// shutdown; the background sweeper releases them within
-/// [`REAP_INTERVAL`] regardless of traffic, and a hard in-push bound
-/// covers bursts faster than the timer.
-pub(crate) struct ReapedSet {
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stop: Arc<AtomicBool>,
-    sweeper: Option<JoinHandle<()>>,
-}
-
-/// Sweep immediately (without waiting for the timer) once this many
-/// handles are held.
-const REAP_PUSH_BOUND: usize = 1024;
-
-impl ReapedSet {
-    /// Starts the background sweeper.
-    pub(crate) fn start(interval: Duration) -> Self {
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let sweeper = {
-            let handles = Arc::clone(&handles);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("serve-reaper".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(interval);
-                        let mut held = handles.lock().expect("reaper poisoned");
-                        held.retain(|h| !h.is_finished());
-                        metrics::SERVE_CONN_THREADS.set(held.len() as f64);
-                    }
-                })
-                .expect("spawn reaper thread")
-        };
-        Self {
-            handles,
-            stop,
-            sweeper: Some(sweeper),
-        }
-    }
-
-    /// Tracks one connection thread.
-    pub(crate) fn push(&self, handle: JoinHandle<()>) {
-        let mut held = self.handles.lock().expect("reaper poisoned");
-        held.push(handle);
-        if held.len() >= REAP_PUSH_BOUND {
-            held.retain(|h| !h.is_finished());
-        }
-    }
-
-    /// Currently held handles (finished ones linger until the next sweep).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.handles.lock().expect("reaper poisoned").len()
-    }
-
-    /// Stops the sweeper and joins every remaining connection thread.
-    pub(crate) fn finish(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(sweeper) = self.sweeper.take() {
-            let _ = sweeper.join();
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().expect("reaper poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        metrics::SERVE_CONN_THREADS.set(0.0);
-    }
-}
-
-/// Flips the shutdown flag and unblocks whichever accept path is active:
-/// the threaded loop by connecting to ourselves (std has no way to
-/// interrupt a blocking `accept`), the evented shards by waking their
-/// loops.
-fn initiate_shutdown(inner: &Inner, addr: SocketAddr) {
-    inner.shutdown.store(true, Ordering::Release);
-    for shard in &inner.shards {
-        shard.completions.wake();
-    }
-    if inner.shards.is_empty() {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
-struct OpenGuard<'a>(&'a Inner);
-
-impl Drop for OpenGuard<'_> {
-    fn drop(&mut self) {
-        self.0.threaded_open.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn handle_connection(stream: TcpStream, inner: &Inner) {
-    inner.threaded_open.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenGuard(inner);
-    if inner.nodelay {
-        let _ = stream.set_nodelay(true);
-    }
-    let _ = stream.set_read_timeout(inner.read_timeout);
-    let _ = stream.set_write_timeout(inner.write_timeout);
-    let local = match stream.local_addr() {
-        Ok(a) => a,
-        Err(_) => return,
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Drop the connection as if the socket failed (chaos only).
-        airchitect_chaos::fail_point!("serve.conn.read", |_e: std::io::Error| ());
-        let request = match read_request(&mut reader) {
-            Ok(r) => r,
-            Err(ReadError::Closed | ReadError::TimedOut | ReadError::Io(_)) => return,
-            Err(ReadError::Bad { status, reason }) => {
-                let resp = Response::error(status, "bad_request", &reason);
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-        };
-        let (response, wants_shutdown) = handle_request(&request, inner);
-        // Once draining, finish this response and close the connection.
-        let draining = wants_shutdown || inner.shutdown.load(Ordering::Acquire);
-        let keep_alive = request.keep_alive && !draining;
-        airchitect_chaos::fail_point!("serve.conn.write", |_e: std::io::Error| ());
-        if write_response(&mut writer, &response, keep_alive).is_err() {
-            return;
-        }
-        if wants_shutdown {
-            initiate_shutdown(inner, local);
-        }
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
 /// How one request resolves from the caller's point of view.
 pub(crate) enum Step {
     /// The response is ready — nothing was queued.
     Respond(Response),
-    /// The request was queued; the worker's outcome will arrive on the
-    /// [`Reply`] built by the dispatch call. The caller owns waiting (or
-    /// not blocking) and must frame the outcome with
-    /// [`outcome_response`], record `serve.request_us`, and answer 504 /
-    /// draining itself if the deadline passes or the queue drains first.
+    /// The request was queued; the worker's outcome will arrive through
+    /// the [`Reply`] built by the dispatch call. The caller must frame it
+    /// with [`outcome_response`], record `serve.request_us`, and answer
+    /// 504 itself if the deadline passes first.
     Queued {
         /// When request handling started (for the latency histogram).
         started: Instant,
@@ -539,98 +303,49 @@ pub(crate) enum Step {
     },
 }
 
-/// Dispatches one request without blocking. The `bool` is the shutdown
-/// signal: the response must be written before the server starts tearing
-/// itself down. `make_reply` is only invoked if the request is queued.
+/// Dispatches one request without blocking. `make_reply` is only invoked
+/// if the request is queued.
 pub(crate) fn handle_request_step(
     request: &Request,
     inner: &Inner,
     make_reply: &mut dyn FnMut() -> Reply,
-) -> (Step, bool) {
+) -> Step {
     let route = match router::route(&request.method, &request.path) {
         Ok(r) => r,
-        Err(resp) => return (Step::Respond(resp), false),
+        Err(resp) => return Step::Respond(resp),
     };
-    match route {
-        Route::Healthz => (
-            Step::Respond(router::render_healthz(
-                &inner.hub,
-                &inner.breakers,
-                Some(&inner.rollout),
-            )),
-            false,
-        ),
-        Route::Metrics => (Step::Respond(render_metrics_response(inner)), false),
-        Route::Shutdown => (
-            Step::Respond(Response::json(200, "{\"shutting_down\":true}\n".into())),
-            true,
-        ),
-        Route::Reload => (Step::Respond(reload(request, inner)), false),
-        Route::Rollback => (Step::Respond(inner.rollout.rollback_now()), false),
-        Route::Recommend(case) => (recommend_step(case, request, inner, make_reply), false),
-    }
-}
-
-/// Blocking dispatch for the threaded listener: runs the shared step,
-/// then waits out a queued reply on the connection thread.
-fn handle_request(request: &Request, inner: &Inner) -> (Response, bool) {
-    let mut rx_slot: Option<mpsc::Receiver<crate::batch::Outcome>> = None;
-    let (step, wants_shutdown) = handle_request_step(request, inner, &mut || {
-        let (tx, rx) = mpsc::channel();
-        rx_slot = Some(rx);
-        Reply::Channel(tx)
-    });
-    let response = match step {
-        Step::Respond(resp) => resp,
-        Step::Queued {
-            started,
-            deadline,
-            cache_key,
-        } => {
-            let rx = rx_slot.take().expect("queued dispatch built a reply");
-            await_reply(&rx, started, deadline, cache_key, inner)
+    Step::Respond(match route {
+        Route::Healthz => router::render_healthz(&inner.hub, &inner.breakers, Some(&inner.rollout)),
+        Route::Metrics => render_metrics_response(inner),
+        Route::Shutdown => {
+            initiate_shutdown(inner);
+            Response::json(200, "{\"shutting_down\":true}\n".into())
         }
-    };
-    (response, wants_shutdown)
+        Route::Reload => reload(request, inner),
+        Route::Rollback => inner.rollout.rollback_now(),
+        Route::Recommend(case) => return recommend_step(case, request, inner, make_reply),
+    })
 }
 
-/// Waits for the worker, but never past the deadline: the 504 is answered
-/// on time even if the worker is stuck on an injected stall. Records the
-/// request latency on every terminal path.
-fn await_reply(
-    rx: &mpsc::Receiver<crate::batch::Outcome>,
-    started: Instant,
-    deadline: Option<Instant>,
-    cache_key: Vec<u8>,
-    inner: &Inner,
-) -> Response {
-    let outcome = match deadline {
-        None => match rx.recv() {
-            Ok(o) => o,
-            // Workers only exit during shutdown, after draining the queue.
-            Err(_) => return record_latency(started, draining()),
-        },
-        Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-            Ok(o) => o,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return record_latency(started, deadline_exceeded())
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return record_latency(started, draining())
-            }
-        },
-    };
-    record_latency(started, outcome_response(outcome, cache_key, inner))
+/// Starts the drain: flips the shutdown flag, then wakes every shard so
+/// none sleeps through it. This runs before the `200` is written, so a
+/// client that reads it and sends at once on a connection another shard
+/// owns is answered `503 draining`, not served.
+fn initiate_shutdown(inner: &Inner) {
+    inner.shutdown.store(true, Ordering::Release);
+    for shard in &inner.shards {
+        shard.completions.wake();
+    }
 }
 
 /// `/metrics` body: the telemetry registry plus the listener's live
 /// connection accounting — an aggregate `serve.open_connections` line and
-/// per-shard `serve.shard.N.*` gauges in evented mode (the same manual
-/// append pattern the cluster router uses for per-replica series).
+/// per-shard `serve.shard.N.*` gauges (the same manual append pattern the
+/// cluster router uses for per-replica series).
 fn render_metrics_response(inner: &Inner) -> Response {
     use std::fmt::Write as _;
     let mut resp = router::render_metrics();
-    let mut total = inner.threaded_open.load(Ordering::Relaxed);
+    let mut total = 0;
     let mut shard_lines = String::new();
     for (i, shard) in inner.shards.iter().enumerate() {
         let open = shard.stats.open.load(Ordering::Relaxed);
@@ -721,7 +436,7 @@ pub(crate) fn deadline_exceeded() -> Response {
     )
 }
 
-pub(crate) fn draining() -> Response {
+fn draining() -> Response {
     let mut resp = Response::error(503, "draining", "server is shutting down");
     resp.retry_after = Some(1);
     resp
@@ -930,7 +645,7 @@ pub(crate) fn outcome_response(
 }
 
 /// Panic-isolated [`execute_fast`](crate::batch::execute_fast): a poisoned
-/// model costs one 500, never the connection (or shard) that hit it.
+/// model costs one 500, never the shard that hit it.
 fn guarded_fast(
     model: &crate::reload::LoadedModel,
     query: &crate::batch::RecQuery,
@@ -979,41 +694,6 @@ fn uncached_response(outcome: crate::batch::Outcome) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reaper_releases_finished_handles_without_an_accept() {
-        let set = ReapedSet::start(Duration::from_millis(10));
-        for _ in 0..8 {
-            set.push(std::thread::spawn(|| {}));
-        }
-        // The threads exit immediately; only the timer sweeps them.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.len() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(set.len(), 0, "finished handles must be reaped on the timer");
-        set.finish();
-    }
-
-    #[test]
-    fn reaper_push_bound_sweeps_bursts_between_timer_ticks() {
-        // A huge interval so only the in-push bound can sweep.
-        let set = ReapedSet::start(Duration::from_secs(3600));
-        for _ in 0..REAP_PUSH_BOUND + 8 {
-            set.push(std::thread::spawn(|| {}));
-        }
-        assert!(
-            set.len() < REAP_PUSH_BOUND,
-            "push bound must sweep finished handles (len: {})",
-            set.len()
-        );
-        // Don't wait an hour: drop the sweeper by hand.
-        set.stop.store(true, Ordering::Release);
-        let handles = std::mem::take(&mut *set.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
-    }
 
     #[test]
     fn effective_deadline_prefers_the_tighter_budget() {

@@ -49,7 +49,7 @@ use airchitect_telemetry::metrics;
 use crate::breaker::Admit;
 use crate::client::RetryClient;
 use crate::http::{self, read_request, write_response, ReadError, Request, Response};
-use crate::listener::accept_with_retry;
+use crate::listener::MAX_ACCEPT_ERRORS;
 use crate::registry::{Registry, RegistryError, DEFAULT_RETAIN};
 use crate::router::{self, Route};
 use crate::supervisor::{fleet_status, ClusterConfig, Fleet, ReplicaSlot, Supervisor};
@@ -360,18 +360,33 @@ impl Router {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         let mut accept_errors = 0u32;
         loop {
-            let (stream, _) = match accept_with_retry(
-                &self.listener,
-                &self.inner.shutdown,
-                &mut accept_errors,
-                "cluster.proxy.accept",
-            )? {
-                Some(pair) => pair,
-                None => break,
-            };
+            // The closure gives the failpoint's injected error an early
+            // return target without leaving the loop.
+            #[allow(clippy::redundant_closure_call)]
+            let attempt = (|| {
+                airchitect_chaos::fail_point!("cluster.proxy.accept", Err);
+                self.listener.accept()
+            })();
             if self.inner.shutdown.load(Ordering::Acquire) {
-                break; // the wake-up connection
+                break; // the wake-up connection, or a failure while draining
             }
+            let stream = match attempt {
+                Ok((stream, _)) => {
+                    accept_errors = 0;
+                    stream
+                }
+                // Transient failures back off and retry (pending
+                // connections stay in the kernel backlog); a persistent
+                // streak errors out.
+                Err(e) => {
+                    accept_errors += 1;
+                    if accept_errors > MAX_ACCEPT_ERRORS {
+                        return Err(ServeError::Io(format!("accept: {e}")));
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                }
+            };
             let inner = Arc::clone(&self.inner);
             connections.retain(|h| !h.is_finished());
             connections.push(
@@ -1202,9 +1217,6 @@ impl Cluster {
         }
         if !config.single_query_bypass {
             argv.push("--no-bypass".into());
-        }
-        if config.threaded {
-            argv.push("--threaded".into());
         }
         if config.nodelay {
             argv.push("--nodelay".into());

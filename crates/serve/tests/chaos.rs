@@ -199,7 +199,7 @@ fn open_circuit_with_fallback_serves_the_search_answer() {
 fn injected_worker_stall_turns_into_a_timely_504() {
     let _guard = chaos("serve.batch.dispatch=delay(600):1:1");
     // Bypass disabled: the stall is injected on the *worker* dispatch
-    // path, and the 504-at-deadline contract is about a connection thread
+    // path, and the 504-at-deadline contract is about the listener
     // abandoning a stuck worker.
     let (addr, handle) = start(ServeConfig {
         deadline_ms: 150,

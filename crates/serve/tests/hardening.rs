@@ -1,5 +1,5 @@
-//! Integration: serving-core hardening — the timer-based connection-thread
-//! reaper, request-latency accounting on every terminal path, per-shard
+//! Integration: serving-core hardening — open-connection accounting after
+//! hang-ups, request-latency accounting on every terminal path, per-shard
 //! reactor telemetry, and socket-level parser robustness (dribbled bytes,
 //! pipelining, unbounded heads).
 //!
@@ -86,16 +86,22 @@ fn metric(body: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// The threaded listener used to release finished connection threads only
-/// when the *next* accept arrived; after a burst against an idle server
-/// they all lingered. The timer reaper must return the handle count to
-/// baseline with no further traffic.
+fn accepted_total(scrape: &str, shards: usize) -> f64 {
+    (0..shards)
+        .map(|s| metric(scrape, &format!("serve.shard.{s}.accepted")).unwrap())
+        .sum()
+}
+
+/// Connections that hang up must leave the listener's books by
+/// themselves: after a burst against an otherwise idle server,
+/// `serve.open_connections` returns to the scraper alone, with no
+/// further accepts needed to notice.
 #[test]
-fn conn_thread_count_returns_to_baseline_after_a_burst() {
+fn open_connections_return_to_baseline_after_a_burst() {
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
-        threaded: true,
+        event_loops: 2,
         ..ServeConfig::default()
     };
     let (addr, handle) = start(config);
@@ -112,26 +118,29 @@ fn conn_thread_count_returns_to_baseline_after_a_burst() {
         drop(clients);
     }
 
-    // No accepts happen while we wait: the reaper alone must notice the
-    // burst threads finishing. One persistent scraper connection polls,
-    // so the floor is that single live thread.
+    // No accepts happen while we wait: the shards alone must notice the
+    // burst connections closing. One persistent scraper connection polls,
+    // so the floor is that single open connection.
     let mut scraper = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let first = scraper.get("/metrics").unwrap().body;
+    let accepted = accepted_total(&first, 2);
+    assert_eq!(accepted, 9.0, "8 burst connections + the scraper");
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut last = f64::MAX;
+    let mut scrape = first;
     while Instant::now() < deadline {
-        let scrape = scraper.get("/metrics").unwrap();
-        assert_eq!(scrape.status, 200);
-        last = metric(&scrape.body, "serve.conn_threads").unwrap_or(f64::MAX);
-        if last <= 1.0 {
+        last = metric(&scrape, "serve.open_connections").unwrap();
+        if last == 1.0 {
             break;
         }
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(50));
+        scrape = scraper.get("/metrics").unwrap().body;
     }
-    assert!(
-        last <= 1.0,
-        "burst connection threads were not reaped without a new accept \
-         (serve.conn_threads stuck at {last})"
+    assert_eq!(
+        last, 1.0,
+        "burst connections were not released (serve.open_connections stuck at {last})"
     );
+    assert_eq!(accepted_total(&scrape, 2), accepted, "no further accepts");
     shutdown(addr, handle);
 }
 
@@ -183,12 +192,8 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
 
 /// The evented listener publishes per-shard gauges; the aggregate
 /// connection gauge must cover the scraping connection itself.
-#[cfg(target_os = "linux")]
 #[test]
 fn evented_listener_exposes_per_shard_metrics() {
-    if ServeConfig::default().threaded {
-        return; // threaded CI leg: no shards to inspect
-    }
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
@@ -212,9 +217,7 @@ fn evented_listener_exposes_per_shard_metrics() {
     }
     let open = metric(&scrape.body, "serve.open_connections").unwrap();
     assert!(open >= 1.0, "the scraping connection must be counted ({open})");
-    let accepted: f64 = (0..2)
-        .map(|s| metric(&scrape.body, &format!("serve.shard.{s}.accepted")).unwrap())
-        .sum();
+    let accepted = accepted_total(&scrape.body, 2);
     assert!(accepted >= 1.0, "accept counters must move ({accepted})");
     shutdown(addr, handle);
 }
@@ -347,86 +350,36 @@ fn newline_free_megabyte_head_is_answered_413_mid_flood() {
     shutdown(addr, handle);
 }
 
-/// `--nodelay` is opt-in and mode-independent: with it set, both listener
-/// modes keep answering identically (TCP_NODELAY must never change
-/// observable semantics, only latency).
+/// `--nodelay` is opt-in and must never change observable semantics,
+/// only latency: with and without it the listener answers byte-identically.
 #[test]
-fn nodelay_keeps_listener_parity() {
-    if !cfg!(target_os = "linux") {
-        return; // only one listener exists off-Linux
-    }
-    let base = ServeConfig {
-        model_paths: vec![model_file()],
-        read_timeout_secs: 30,
-        cache_capacity: 0,
-        nodelay: true,
-        ..ServeConfig::default()
-    };
-    let threaded = ServeConfig {
-        threaded: true,
-        ..base.clone()
-    };
-    let evented = ServeConfig {
-        threaded: false,
-        ..base
-    };
-    let (addr_a, handle_a) = start(threaded);
-    let (addr_b, handle_b) = start(evented);
-    let mut a = HttpClient::connect(addr_a, TIMEOUT).unwrap();
-    let mut b = HttpClient::connect(addr_b, TIMEOUT).unwrap();
-    for _ in 0..4 {
-        let ra = a.post("/v1/recommend/array", ARRAY_BODY).unwrap();
-        let rb = b.post("/v1/recommend/array", ARRAY_BODY).unwrap();
-        assert_eq!(ra.status, 200, "{}", ra.body);
-        assert_eq!(ra.status, rb.status);
-        assert_eq!(ra.body, rb.body);
-    }
-    shutdown(addr_a, handle_a);
-    shutdown(addr_b, handle_b);
-}
-
-/// Both listeners answer the same requests with the same statuses and
-/// body shapes — the mode flag must not change observable semantics.
-#[test]
-fn threaded_and_evented_listeners_answer_identically() {
+fn nodelay_keeps_answers_identical() {
     let base = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
         cache_capacity: 0, // identical `cached` flags on both servers
         ..ServeConfig::default()
     };
-    let threaded = ServeConfig {
-        threaded: true,
+    let (addr_a, handle_a) = start(ServeConfig {
+        nodelay: true,
         ..base.clone()
-    };
-    let evented = ServeConfig {
-        threaded: false,
+    });
+    let (addr_b, handle_b) = start(ServeConfig {
+        nodelay: false,
         ..base
-    };
-    if !cfg!(target_os = "linux") {
-        return; // only one listener exists off-Linux
-    }
-    let (addr_a, handle_a) = start(threaded);
-    let (addr_b, handle_b) = start(evented);
+    });
     let mut a = HttpClient::connect(addr_a, TIMEOUT).unwrap();
     let mut b = HttpClient::connect(addr_b, TIMEOUT).unwrap();
-
-    for (method_post, path, body) in [
-        (true, "/v1/recommend/array", ARRAY_BODY),
-        (true, "/v1/recommend/array", "{\"m\":-1}"),
-        (true, "/v1/recommend/buffers", ARRAY_BODY),
-        (false, "/healthz", ""),
-        (true, "/nope", ""),
+    for (path, body) in [
+        ("/v1/recommend/array", ARRAY_BODY),
+        ("/v1/recommend/array", ARRAY_BODY),
+        ("/v1/recommend/array", "{\"m\":-1}"),
+        ("/nope", ""),
     ] {
-        let (ra, rb) = if method_post {
-            (a.post(path, body).unwrap(), b.post(path, body).unwrap())
-        } else {
-            (a.get(path).unwrap(), b.get(path).unwrap())
-        };
+        let ra = a.post(path, body).unwrap();
+        let rb = b.post(path, body).unwrap();
         assert_eq!(ra.status, rb.status, "{path}: {} vs {}", ra.body, rb.body);
-        if path.starts_with("/v1/recommend") && ra.status == 200 {
-            assert_eq!(ra.body, rb.body, "{path}");
-        }
+        assert_eq!(ra.body, rb.body, "{path}");
     }
     shutdown(addr_a, handle_a);
     shutdown(addr_b, handle_b);
@@ -440,14 +393,10 @@ fn threaded_and_evented_listeners_answer_identically() {
 /// `serve.slowloris_reaped`.
 #[test]
 fn slowloris_header_trickle_is_reaped_with_408() {
-    if !cfg!(target_os = "linux") {
-        return; // the evented core is Linux-only
-    }
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 1,
         event_loops: 1,
-        threaded: false,
         ..ServeConfig::default()
     };
     let (addr, handle) = start(config);

@@ -270,33 +270,42 @@ fn expired_deadline_answers_504_before_any_work() {
 
 #[test]
 fn draining_server_answers_503_with_retry_after() {
-    let config = ServeConfig {
-        read_timeout_secs: 5,
-        ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
-    };
-    let (addr, handle) = start(config);
-    // B's connection is accepted *before* the drain starts; its request
-    // lands while the server is shutting down.
-    let mut drainer = HttpClient::connect(addr, TIMEOUT).unwrap();
-    let mut late = HttpClient::connect(addr, TIMEOUT).unwrap();
-    // Make sure `late` is fully established (thread spawned) first.
-    let health = late.get("/healthz").unwrap();
-    assert_eq!(health.status, 200);
+    // Repeated on two event loops: `late` often lands on the other shard,
+    // so its request, sent the moment the drainer reads its 200, must
+    // already see the shutdown flag. A flag set after the 200 lost about
+    // one drain in a hundred, which 200 drains could miss; 1000 take
+    // under 2 s in a release build.
+    for _ in 0..1000 {
+        let config = ServeConfig {
+            read_timeout_secs: 5,
+            event_loops: 2,
+            ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
+        };
+        let (addr, handle) = start(config);
+        // `late`'s connection is accepted *before* the drain starts; its
+        // request lands while the server is shutting down.
+        let mut drainer = HttpClient::connect(addr, TIMEOUT).unwrap();
+        let mut late = HttpClient::connect(addr, TIMEOUT).unwrap();
+        // Make sure `late` is fully established (registered with its
+        // shard) first.
+        let health = late.get("/healthz").unwrap();
+        assert_eq!(health.status, 200);
 
-    let resp = drainer.post("/v1/shutdown", "").unwrap();
-    assert_eq!(resp.status, 200);
-    let resp = late.post("/v1/recommend/array", ARRAY_BODY).unwrap();
-    assert_eq!(resp.status, 503, "{}", resp.body);
-    assert!(resp.body.contains("draining"), "{}", resp.body);
-    assert_eq!(resp.retry_after, Some(1), "503 draining must carry Retry-After");
-    handle.join().unwrap().unwrap();
+        let resp = drainer.post("/v1/shutdown", "").unwrap();
+        assert_eq!(resp.status, 200);
+        let resp = late.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+        assert_eq!(resp.status, 503, "{}", resp.body);
+        assert!(resp.body.contains("draining"), "{}", resp.body);
+        assert_eq!(resp.retry_after, Some(1), "503 draining must carry Retry-After");
+        handle.join().unwrap().unwrap();
+    }
 }
 
 #[test]
 fn slow_reader_cannot_wedge_the_server_or_shutdown() {
     // Short socket timeouts: a client that sends one request and then
-    // neither reads nor writes must not hold a connection thread (and
-    // therefore graceful shutdown) hostage.
+    // neither reads nor writes must not hold its shard (and therefore
+    // graceful shutdown) hostage.
     let config = ServeConfig {
         read_timeout_secs: 1,
         write_timeout_secs: 1,

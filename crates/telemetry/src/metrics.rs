@@ -369,9 +369,6 @@ pub static SERVE_BREAKER_SCHEDULE: Gauge = Gauge::new("serve.breaker_state.sched
 pub static SERVE_BREAKER_RELOAD: Gauge = Gauge::new("serve.breaker_state.reload");
 /// Replicas currently admitted to the cluster routing ring.
 pub static CLUSTER_HEALTHY_REPLICAS: Gauge = Gauge::new("cluster.healthy_replicas");
-/// Live connection-thread handles held by the threaded listener (updated
-/// by its timer-based reaper; absent in evented mode).
-pub static SERVE_CONN_THREADS: Gauge = Gauge::new("serve.conn_threads");
 /// Rolling top-1 agreement between the served model and the shadow DSE
 /// oracle, in `[0, 1]` over the drift monitor's window.
 pub static SERVE_SHADOW_AGREEMENT: Gauge = Gauge::new("serve.shadow.agreement");
@@ -463,7 +460,7 @@ static COUNTERS: [&Counter; 54] = [
     &CLUSTER_ROLLOUT_ROLLBACKS,
     &CLUSTER_ROLLOUT_REPLICA_RELOADS,
 ];
-static GAUGES: [&Gauge; 14] = [
+static GAUGES: [&Gauge; 13] = [
     &TRAIN_LOSS,
     &TRAIN_ACCURACY,
     &SERVE_BREAKER_ARRAY,
@@ -471,7 +468,6 @@ static GAUGES: [&Gauge; 14] = [
     &SERVE_BREAKER_SCHEDULE,
     &SERVE_BREAKER_RELOAD,
     &CLUSTER_HEALTHY_REPLICAS,
-    &SERVE_CONN_THREADS,
     &SERVE_SHADOW_AGREEMENT,
     &SERVE_SHADOW_ORACLE_MEAN_US,
     &SERVE_CANARY_ACTIVE,

@@ -4,7 +4,7 @@
 //! Three suites, each emitting one JSON artifact:
 //!
 //! * `train` — CS1 training epochs: the pre-PR naive loop (reference
-//!   kernels, per-batch allocations) against the engine path (blocked
+//!   kernels, per-batch allocations) against the engine path (packed
 //!   multi-threaded kernels, zero-allocation workspace). The baseline is
 //!   recorded in the same file as the engine numbers so the speedup is
 //!   self-contained.
@@ -187,7 +187,7 @@ fn cs1_network() -> Sequential {
 fn naive_epoch(
     network: &mut Sequential,
     ds: &Dataset,
-    indices: &mut Vec<usize>,
+    indices: &mut [usize],
     rng: &mut StdRng,
     optimizer: &mut Optimizer,
     batch_size: usize,
@@ -248,8 +248,8 @@ fn bench_train(
     let baseline_secs = t0.elapsed().as_secs_f64() / epochs as f64;
     println!("  baseline (reference kernel, 1 thread): {baseline_secs:.3} s/epoch");
 
-    // Engine: the new trainer on the blocked kernels.
-    gemm::set_kernel(Kernel::Blocked);
+    // Engine: the new trainer on the packed kernels.
+    gemm::set_kernel(Kernel::Packed);
     let mut network = cs1_network();
     let cfg = TrainConfig {
         epochs,
@@ -261,7 +261,7 @@ fn bench_train(
     fit(&mut network, &ds, None, &cfg).map_err(|e| CliError::Run(e.to_string()))?;
     let engine_secs = t0.elapsed().as_secs_f64() / epochs as f64;
     let speedup = baseline_secs / engine_secs;
-    println!("  engine   (blocked kernel, {threads} thread(s)): {engine_secs:.3} s/epoch");
+    println!("  engine   (packed kernel, {threads} thread(s)): {engine_secs:.3} s/epoch");
     println!("  speedup: {speedup:.2}x");
 
     let body = format!(
@@ -269,7 +269,7 @@ fn bench_train(
          \"batch_size\": {BATCH},\n  \"epochs_timed\": {epochs},\n  \
          \"baseline\": {{ \"kernel\": \"reference\", \"threads\": 1, \
          \"secs_per_epoch\": {baseline_secs:.6} }},\n  \
-         \"engine\": {{ \"kernel\": \"blocked\", \"threads\": {threads}, \
+         \"engine\": {{ \"kernel\": \"packed\", \"threads\": {threads}, \
          \"secs_per_epoch\": {engine_secs:.6} }},\n  \"speedup\": {speedup:.4}\n}}\n"
     );
     write_json(out_dir, "BENCH_train.json", &body)
@@ -528,7 +528,6 @@ fn bench_dse(out_dir: &str, quick: bool) -> Result<(), CliError> {
             .search(&problem, wl, budget)
             .evaluations
     });
-    drop(measure);
 
     let body = format!(
         "{{\n  \"suite\": \"dse\",\n  \"case\": \"cs1\",\n  \"queries\": {queries},\n  \

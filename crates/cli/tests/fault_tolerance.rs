@@ -137,7 +137,8 @@ fn corrupt_artifacts_exit_with_code_4_and_never_panic() {
     let data = small_dataset(&dir);
     let model = small_model(&dir, &data);
 
-    let corruptions: [(&str, fn(&[u8]) -> Vec<u8>); 3] = [
+    type Corrupt = fn(&[u8]) -> Vec<u8>;
+    let corruptions: [(&str, Corrupt); 3] = [
         ("zero-length", |_| Vec::new()),
         ("truncated", |b| b[..b.len() / 2].to_vec()),
         ("bit-flipped", |b| {

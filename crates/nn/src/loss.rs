@@ -1,6 +1,20 @@
 //! Fused softmax + categorical cross-entropy (the paper's loss function).
 
-use airchitect_tensor::Matrix;
+use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
+
+use airchitect_tensor::{pool, Matrix};
+
+/// Batch rows per task when the loss is split over threads.
+const ROWS_PER_TASK: usize = 32;
+
+/// Batches with fewer logits than this run on the calling thread alone.
+const PARALLEL_MIN: usize = 1 << 12;
+
+thread_local! {
+    /// Per-row `ln p(label)` of the current batch, reused across calls.
+    static ROW_LOG_P: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Computes mean categorical cross-entropy over a batch and the gradient of
 /// the loss w.r.t. the logits.
@@ -29,22 +43,37 @@ use airchitect_tensor::Matrix;
 /// ```
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    let mut preds = Vec::new();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad, &mut preds, 1);
     (loss, grad)
 }
 
 /// [`softmax_cross_entropy`] writing the gradient into a caller-owned
-/// buffer and returning the mean loss.
+/// buffer and each row's predicted class into `preds`, returning the mean
+/// loss.
 ///
-/// Fully fused: each row makes one max sweep, one exponentiation sweep
-/// straight into `grad`, and one normalization sweep — the probability
-/// matrix of the two-step formulation is never materialized, and after
-/// warm-up the call performs zero heap allocations.
+/// Fully fused: each row makes one sweep that finds both its maximum and
+/// its prediction (the first index of the strict maximum, the tie rule of
+/// [`airchitect_tensor::ops::argmax_rows_into`]), one exponentiation sweep
+/// straight into `grad`, and one normalization sweep. The probability
+/// matrix of the two-step formulation is never materialized.
+///
+/// Rows are split over up to `threads` threads of
+/// [`airchitect_tensor::pool`]. Each row is computed alone and the per-row
+/// losses are summed in row order in `f64`, so the result is bit-identical
+/// for every thread count. After warm-up the call performs zero heap
+/// allocations.
 ///
 /// # Panics
 ///
 /// Panics if `labels.len() != logits.rows()` or a label is out of range.
-pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[u32], grad: &mut Matrix) -> f32 {
+pub fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[u32],
+    grad: &mut Matrix,
+    preds: &mut Vec<u32>,
+    threads: usize,
+) -> f32 {
     assert_eq!(
         labels.len(),
         logits.rows(),
@@ -52,31 +81,80 @@ pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[u32], grad: &mut Ma
     );
     let batch = logits.rows();
     let classes = logits.cols();
+    assert!(
+        labels.iter().all(|&l| (l as usize) < classes),
+        "label out of range"
+    );
     grad.resize(batch, classes);
+    preds.resize(batch, 0);
     let inv_batch = 1.0 / batch as f32;
-    let mut loss = 0.0f64;
-    for (r, &label) in labels.iter().enumerate() {
-        let label = label as usize;
-        assert!(label < classes, "label out of range");
-        let lrow = logits.row(r);
-        let grow = grad.row_mut(r);
-        let max = lrow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for (g, &v) in grow.iter_mut().zip(lrow) {
-            let e = (v - max).exp();
-            *g = e;
-            sum += e;
+    let threads = if batch * classes < PARALLEL_MIN {
+        1
+    } else {
+        threads
+    };
+    ROW_LOG_P.with(|cell| {
+        let mut log_p = cell.borrow_mut();
+        log_p.resize(batch, 0.0);
+        // Tasks take the next chunk of rows of every output, in order.
+        let parts = Mutex::new(
+            grad.as_mut_slice()
+                .chunks_mut(ROWS_PER_TASK * classes.max(1))
+                .zip(preds.chunks_mut(ROWS_PER_TASK))
+                .zip(log_p.chunks_mut(ROWS_PER_TASK))
+                .enumerate(),
+        );
+        pool::run(batch.div_ceil(ROWS_PER_TASK), threads, 0, &|claims, _| {
+            for _ in claims {
+                let next = parts.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((t, ((grad, preds), log_p))) = next else {
+                    break;
+                };
+                let first = t * ROWS_PER_TASK;
+                for (r, ((grow, pred), lp)) in grad
+                    .chunks_exact_mut(classes)
+                    .zip(preds)
+                    .zip(log_p)
+                    .enumerate()
+                {
+                    let row = first + r;
+                    (*pred, *lp) = row_loss(logits.row(row), labels[row] as usize, grow, inv_batch);
+                }
+            }
+        });
+        let mut loss = 0.0f64;
+        for &lp in log_p.iter() {
+            loss -= lp;
         }
-        let p = (grow[label] / sum).max(1e-12);
-        loss -= (p as f64).ln();
-        // grad = (softmax − onehot) / batch, folded into one sweep.
-        let scale = inv_batch / sum;
-        for g in grow.iter_mut() {
-            *g *= scale;
+        (loss / batch as f64) as f32
+    })
+}
+
+/// One row of [`softmax_cross_entropy_into`]: writes the row's gradient
+/// and returns its prediction and `ln p(label)`.
+fn row_loss(logits: &[f32], label: usize, grad: &mut [f32], inv_batch: f32) -> (u32, f64) {
+    let mut max = f32::NEG_INFINITY;
+    let (mut best, mut best_v) = (0, logits[0]);
+    for (j, &v) in logits.iter().enumerate() {
+        if v > best_v {
+            (best, best_v) = (j, v);
         }
-        grow[label] -= inv_batch;
+        max = max.max(v);
     }
-    (loss / batch as f64) as f32
+    let mut sum = 0.0f32;
+    for (g, &v) in grad.iter_mut().zip(logits) {
+        let e = (v - max).exp();
+        *g = e;
+        sum += e;
+    }
+    let p = (grad[label] / sum).max(1e-12);
+    // grad = (softmax − onehot) / batch, folded into one sweep.
+    let scale = inv_batch / sum;
+    for g in grad.iter_mut() {
+        *g *= scale;
+    }
+    grad[label] -= inv_batch;
+    (best as u32, (p as f64).ln())
 }
 
 #[cfg(test)]
@@ -119,6 +197,30 @@ mod tests {
                 "logit {j}: fd {fd} vs analytic {}",
                 grad.get(0, j)
             );
+        }
+    }
+
+    #[test]
+    fn predictions_and_loss_match_across_threads() {
+        let rows: Vec<Vec<f32>> = (0..100)
+            .map(|r| {
+                (0..60)
+                    .map(|c| ((r * 31 + c * 17) % 23) as f32 * 0.25 - 2.0)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let logits = Matrix::from_rows(&refs);
+        let labels: Vec<u32> = (0..100).map(|r| (r * 7 % 60) as u32).collect();
+        let mut grad = Matrix::zeros(1, 1);
+        let mut preds = Vec::new();
+        let loss = softmax_cross_entropy_into(&logits, &labels, &mut grad, &mut preds, 1);
+        assert_eq!(preds, airchitect_tensor::ops::argmax_rows(&logits));
+        for threads in [2, 3] {
+            let mut g = Matrix::zeros(1, 1);
+            let mut p = vec![9; 3];
+            let l = softmax_cross_entropy_into(&logits, &labels, &mut g, &mut p, threads);
+            assert_eq!((l.to_bits(), &g, &p), (loss.to_bits(), &grad, &preds));
         }
     }
 

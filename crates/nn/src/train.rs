@@ -6,7 +6,7 @@
 
 use airchitect_data::Dataset;
 use airchitect_telemetry as telemetry;
-use airchitect_tensor::{ops, Matrix};
+use airchitect_tensor::{gemm, ops, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -302,11 +302,16 @@ where
             telemetry::metrics::TRAIN_BATCHES.inc();
             gather_into(train, chunk, &mut batch_x, &mut labels);
             let logits = network.forward_ws(&batch_x, &mut ws, true);
-            let loss = softmax_cross_entropy_into(logits, &labels, &mut loss_grad);
+            let loss = softmax_cross_entropy_into(
+                logits,
+                &labels,
+                &mut loss_grad,
+                &mut preds,
+                config.threads,
+            );
             if !loss.is_finite() {
                 return Err(TrainError::Diverged { epoch, batch });
             }
-            ops::argmax_rows_into(logits, &mut preds);
             correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
             network.backward_ws(&loss_grad, &mut ws);
             let mut grad_sq = 0.0f32;
@@ -321,7 +326,8 @@ where
             loss_sum += loss as f64;
             batches += 1;
         }
-        let val_accuracy = validation.map(|v| evaluate(network, v));
+        let val_accuracy = validation
+            .map(|v| metrics::accuracy(&predict_on(network, v, config.threads), v.labels()));
         history.epochs.push(EpochStats {
             epoch,
             train_loss: loss_sum / batches as f64,
@@ -380,12 +386,17 @@ pub fn predict_dataset(network: &mut Sequential, dataset: &Dataset) -> Vec<u32> 
 ///
 /// Panics if the dataset width mismatches the network input.
 pub fn predict_dataset_infer(network: &Sequential, dataset: &Dataset) -> Vec<u32> {
+    predict_on(network, dataset, gemm::num_threads())
+}
+
+/// [`predict_dataset_infer`] on `threads` kernel threads.
+fn predict_on(network: &Sequential, dataset: &Dataset, threads: usize) -> Vec<u32> {
     assert_eq!(
         dataset.feature_dim(),
         network.in_dim(),
         "dataset width mismatches network input"
     );
-    let mut ws = Workspace::new();
+    let mut ws = Workspace::with_threads(threads);
     let mut x = Matrix::zeros(1, 1);
     let mut labels: Vec<u32> = Vec::new();
     let mut preds: Vec<u32> = Vec::new();

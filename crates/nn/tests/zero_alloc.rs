@@ -60,13 +60,56 @@ fn train_batch(
     let _batch_timer = airchitect_telemetry::metrics::TRAIN_BATCH_US.start_timer();
     airchitect_telemetry::metrics::TRAIN_BATCHES.inc();
     gather_into(ds, indices, batch_x, labels);
+    let threads = ws.threads();
     let logits = network.forward_ws(batch_x, ws, true);
-    let loss = loss::softmax_cross_entropy_into(logits, labels, loss_grad);
-    ops::argmax_rows_into(logits, preds);
+    let loss = loss::softmax_cross_entropy_into(logits, labels, loss_grad, preds, threads);
     network.backward_ws(loss_grad, ws);
     let ctx = optimizer.prepare();
     network.for_each_param(|p| ctx.apply(p));
     loss
+}
+
+/// Warms a workspace up on `network`, then asserts that 10 more batches
+/// on `threads` kernel threads allocate nothing. With 2 threads this covers
+/// the parked pool: its workers, their scratch and every hand-off.
+fn assert_batches_do_not_allocate(
+    mut network: Sequential,
+    ds: &Dataset,
+    batch: &[usize],
+    threads: usize,
+) {
+    let mut optimizer = Optimizer::adam(1e-3);
+    let mut ws = Workspace::with_threads(threads);
+    let mut batch_x = Matrix::zeros(1, 1);
+    let mut labels: Vec<u32> = Vec::new();
+    let mut loss_grad = Matrix::zeros(1, 1);
+    let mut preds: Vec<u32> = Vec::new();
+    let mut loss_sink = 0.0f32;
+    let mut batches = |n: usize| {
+        for _ in 0..n {
+            loss_sink += train_batch(
+                &mut network,
+                ds,
+                batch,
+                &mut ws,
+                &mut batch_x,
+                &mut labels,
+                &mut loss_grad,
+                &mut preds,
+                &mut optimizer,
+            );
+        }
+    };
+    batches(3);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    batches(10);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert!(loss_sink.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state batches on {threads} thread(s) must perform zero heap allocations"
+    );
 }
 
 #[test]
@@ -212,4 +255,18 @@ fn steady_state_training_batches_do_not_allocate() {
         0,
         "warmed quantized queries must perform zero heap allocations"
     );
+
+    // Multi-threaded training: the products and the loss of this network
+    // are large enough to run on the pool.
+    let mut wide = Dataset::new(3, 64).unwrap();
+    for i in 0..256u32 {
+        wide.push(
+            &[(i % 8) as f32, (i * 3 % 8) as f32, (i * 5 % 8) as f32],
+            i % 64,
+        )
+        .unwrap();
+    }
+    let batch: Vec<usize> = (0..256).collect();
+    let network = Sequential::embedding_mlp(3, 8, 16, 256, 64, 5);
+    assert_batches_do_not_allocate(network, &wide, &batch, 2);
 }

@@ -337,7 +337,7 @@ mod tests {
     fn load_reload_and_generation_bump() {
         let path = temp_path("a.airm");
         persist::save(&tiny_cs1_model(), &path).unwrap();
-        let hub = ModelHub::load(&[path.clone()], false).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), false).unwrap();
         assert_eq!(hub.generation(), 1);
         let before = hub.get(CaseStudy::ArrayDataflow).unwrap();
         assert_eq!(before.generation, 1);
@@ -356,7 +356,7 @@ mod tests {
     fn corrupt_file_fails_reload_but_keeps_serving() {
         let path = temp_path("b.airm");
         persist::save(&tiny_cs1_model(), &path).unwrap();
-        let hub = ModelHub::load(&[path.clone()], false).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), false).unwrap();
 
         // Truncate the file: the checksum-verified load must reject it.
         let bytes = std::fs::read(&path).unwrap();
@@ -408,10 +408,10 @@ mod tests {
         // Corrupt the file, then start in tolerant (degraded) mode.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(matches!(
-            ModelHub::load(&[path.clone()], false),
+            ModelHub::load(std::slice::from_ref(&path), false),
             Err(ServeError::Model(_))
         ));
-        let hub = ModelHub::load(&[path.clone()], true).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), true).unwrap();
         assert!(hub.get(CaseStudy::ArrayDataflow).is_none());
         assert_eq!(hub.load_errors().len(), 1);
 

@@ -253,10 +253,12 @@ pub static TRAIN_EPOCHS: Counter = Counter::new("train.epochs");
 pub static INFER_QUERIES: Counter = Counter::new("infer.queries");
 /// Checkpoints written.
 pub static CHECKPOINT_SAVES: Counter = Counter::new("checkpoint.saves");
-/// GEMM micro-kernel blocks dispatched to the AVX2+FMA path.
+/// GEMM calls run on the AVX-512F tier.
+pub static GEMM_DISPATCH_AVX512: Counter = Counter::new("gemm.kernel_dispatch.avx512");
+/// GEMM calls run on the AVX2 tier.
 pub static GEMM_DISPATCH_AVX2: Counter = Counter::new("gemm.kernel_dispatch.avx2");
-/// GEMM micro-kernel blocks dispatched to the portable scalar path.
-pub static GEMM_DISPATCH_SCALAR: Counter = Counter::new("gemm.kernel_dispatch.scalar");
+/// GEMM calls run on the portable tier.
+pub static GEMM_DISPATCH_PORTABLE: Counter = Counter::new("gemm.kernel_dispatch.portable");
 /// HTTP requests accepted by the inference server (any route).
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
 /// Recommendation requests rejected with 429 because the queue was full.
@@ -404,7 +406,7 @@ pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 pub static SERVE_SHADOW_ORACLE_US: Histogram =
     Histogram::new("serve.shadow.oracle_us");
 
-static COUNTERS: [&Counter; 54] = [
+static COUNTERS: [&Counter; 55] = [
     &SIM_EVALS,
     &DSE_SEARCHES,
     &DSE_SEARCH_POINTS,
@@ -415,8 +417,9 @@ static COUNTERS: [&Counter; 54] = [
     &TRAIN_EPOCHS,
     &INFER_QUERIES,
     &CHECKPOINT_SAVES,
+    &GEMM_DISPATCH_AVX512,
     &GEMM_DISPATCH_AVX2,
-    &GEMM_DISPATCH_SCALAR,
+    &GEMM_DISPATCH_PORTABLE,
     &SERVE_REQUESTS,
     &SERVE_REJECTED,
     &SERVE_CACHE_HITS,

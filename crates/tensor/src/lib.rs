@@ -2,7 +2,7 @@
 //!
 //! The paper trains its models with TensorFlow/Keras; this crate is the
 //! from-scratch substrate that replaces it: a row-major [`Matrix`] with the
-//! handful of operations a small MLP stack needs — blocked matrix products
+//! handful of operations a small MLP stack needs — packed matrix products
 //! (including transposed variants for backprop), broadcast row ops, and
 //! seeded initializers.
 //!
@@ -25,6 +25,7 @@ mod matrix;
 pub mod gemm;
 pub mod init;
 pub mod ops;
+pub mod pool;
 pub mod qgemm;
 
 pub use matrix::Matrix;

@@ -4,11 +4,11 @@ use crate::gemm;
 
 /// A dense row-major `f32` matrix.
 ///
-/// The workhorse of the NN stack. Products run on the blocked,
+/// The workhorse of the NN stack. Products run on the packed,
 /// register-tiled engine in [`crate::gemm`]; the `_into` variants write
 /// into caller-owned buffers so hot loops can run allocation-free, and
-/// `threads` fans the output rows out over scoped threads with a fixed
-/// partition, so results are bit-identical for every thread count.
+/// `threads` shares the output blocks out over the worker pool, with
+/// results bit-identical for every thread count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,

@@ -1,69 +1,41 @@
-//! `airchitect bench` — reproducible benchmark harness for the compute
-//! engine.
-//!
-//! Three suites, each emitting one JSON artifact:
+//! `airchitect bench` — the two measurements nothing else in the repo
+//! makes, each emitting one JSON artifact:
 //!
 //! * `train` — CS1 training epochs: the pre-PR naive loop (reference
 //!   kernels, per-batch allocations) against the engine path (packed
 //!   multi-threaded kernels, zero-allocation workspace). The baseline is
 //!   recorded in the same file as the engine numbers so the speedup is
 //!   self-contained.
-//! * `infer` — batched inference ([`AirchitectModel::predict`]) and
-//!   constant-time single queries ([`Recommender::recommend_array`]).
-//! * `dse` — conventional search throughput: exhaustive
-//!   [`Case1Problem::search`] plus the sampling strategies in
-//!   `dse::search_algos`.
-//! * `serve` — loadgen against an in-process `airchitect-serve` server:
-//!   concurrent keep-alive clients, mid-run hot-reloads, client-side
-//!   p50/p95/p99 latency and sustained QPS.
-//! * `chaos` — (chaos-enabled builds only, not part of `all`) loadgen
-//!   under a scripted failpoint schedule; gates on zero wrong answers,
-//!   zero hangs, a bounded 5xx fraction, and post-fault recovery.
-//! * `cluster` — (not part of `all`) loadgen against a supervised
-//!   multi-replica cluster while one replica is SIGKILLed mid-run; gates
-//!   on zero failed client requests, bounded re-admission of the killed
-//!   replica, and aggregate QPS at least matching a single replica.
-//! * `online` — (not part of `all`) closed-loop drift soak: a CNN-trained
-//!   model serves a query distribution that drifts to skinny LLM-style
-//!   GEMMs under shadow-oracle sampling; when the drift policy fires, the
-//!   misprediction log is replayed into a fine-tune + hot-reload cycle.
-//!   Gates on oracle agreement strictly improving after at least one
-//!   automatic cycle, zero failed requests, and zero 5xx.
-//! * `rollout` — (not part of `all`) safe-rollout soak: corrupted,
-//!   regressed, and good checkpoints are pushed through the versioned
-//!   registry and `/v1/reload` under live load. Gates on the bad versions
-//!   being rejected/rolled back and quarantined, the good one promoting,
-//!   zero failed requests, and the bad candidate's answer fraction
-//!   staying within the canary split.
+//! * `c10k` — (Linux only) tens of thousands of keep-alive connections
+//!   through the evented listener; gates on zero failed connects, zero
+//!   starved connections, a core-scaled QPS floor and, on chaos builds,
+//!   injected accept faults being absorbed.
+//!
+//! Serving latency, inference paths and search throughput are measured by
+//! the seeded benchmark (`benchmark/`, declared in `BENCHMARK.json`). The
+//! behavioural soaks — online learning, safe rollout, cluster failover and
+//! chaos — are integration tests in `crates/cli/tests/soaks.rs`.
 //!
 //! JSON is hand-rolled (flat objects, fixed keys) to stay within the
-//! approved dependency set; `--quick` shrinks every suite for CI smoke
+//! approved dependency set; `--quick` shrinks both suites for CI smoke
 //! runs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use airchitect::model::{AirchitectConfig, AirchitectModel, CaseStudy};
-use airchitect::pipeline::{run_case1, run_case2, run_case3, PipelineConfig};
-use airchitect::{persist, Recommender};
-use airchitect_serve::client::{HttpClient, RetryClient};
-use airchitect_serve::{Cluster, ClusterConfig, ServeConfig, Server};
+use airchitect::persist;
 use airchitect_data::Dataset;
 use airchitect_dse::case1::Case1Problem;
-use airchitect_dse::case2::Case2Query;
-use airchitect_dse::case3::Case3Problem;
-use airchitect_dse::space::Case1Space;
-use airchitect_online::{fine_tune, read_dir, DriftStats, FineTuneOptions, OnlinePolicy};
-use airchitect_telemetry::metrics;
-use airchitect_dse::search_algos::{GeneticSearch, HillClimb, RandomSearch, SearchStrategy};
 use airchitect_nn::loss::softmax_cross_entropy;
 use airchitect_nn::network::Sequential;
 use airchitect_nn::optim::Optimizer;
 use airchitect_nn::train::{fit, TrainConfig};
+use airchitect_serve::client::HttpClient;
+use airchitect_serve::{ServeConfig, Server};
 use airchitect_tensor::gemm::{self, Kernel};
-use airchitect_tensor::{ops, qgemm, Matrix};
-use airchitect_sim::{ArrayConfig, Dataflow};
+use airchitect_tensor::{ops, Matrix};
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -97,7 +69,6 @@ pub fn bench(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn bench_inner(args: &Args) -> Result<(), CliError> {
-    let suite = args.optional("suite").unwrap_or("all");
     let out_dir = args.optional("out-dir").unwrap_or(".").to_string();
     let threads = args.u64_or("threads", 4)? as usize;
     if threads == 0 {
@@ -112,39 +83,14 @@ fn bench_inner(args: &Args) -> Result<(), CliError> {
         ));
     }
 
-    match suite {
-        "train" => bench_train(&out_dir, samples, epochs, threads)?,
-        "infer" => bench_infer(&out_dir, quick)?,
-        "dse" => bench_dse(&out_dir, quick)?,
-        "serve" => bench_serve(&out_dir, quick)?,
-        // Deliberately not part of `all`: it needs a chaos-enabled build
-        // and measures robustness gates, not throughput.
-        "chaos" => bench_chaos(&out_dir, quick)?,
-        // Also not part of `all`: it spawns replica child processes and
-        // gates on failure-recovery behavior, not raw throughput.
-        "cluster" => bench_cluster(&out_dir, quick)?,
-        // Not part of `all`: the evented-listener scale gate holds tens of
-        // thousands of sockets open and is its own CI job.
-        "c10k" => bench_c10k(&out_dir, quick)?,
-        // Not part of `all`: a multi-minute soak that trains, drifts, and
-        // fine-tunes — the online-learning loop gate, its own CI job.
-        "online" => bench_online(&out_dir, quick)?,
-        // Not part of `all`: the safe-rollout gate — canary evaluation,
-        // quarantine, and promotion under live load, its own CI job.
-        "rollout" => bench_rollout(&out_dir, quick)?,
-        "all" => {
-            bench_train(&out_dir, samples, epochs, threads)?;
-            bench_infer(&out_dir, quick)?;
-            bench_dse(&out_dir, quick)?;
-            bench_serve(&out_dir, quick)?;
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown suite `{other}` (train|infer|dse|serve|chaos|cluster|c10k|online|rollout|all)"
-            )))
-        }
+    match args.optional("suite") {
+        Some("train") => bench_train(&out_dir, samples, epochs, threads),
+        Some("c10k") => bench_c10k(&out_dir, quick),
+        Some(other) => Err(CliError::Usage(format!(
+            "unknown suite `{other}` (train|c10k)"
+        ))),
+        None => Err(CliError::Usage("`--suite train|c10k` is required".into())),
     }
-    Ok(())
 }
 
 fn write_json(out_dir: &str, name: &str, body: &str) -> Result<(), CliError> {
@@ -275,201 +221,6 @@ fn bench_train(
     write_json(out_dir, "BENCH_train.json", &body)
 }
 
-fn bench_infer(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    let rows = if quick { 2_000 } else { 20_000 };
-    let queries = if quick { 200 } else { 2_000 };
-    println!("bench infer: {rows} batched rows, {queries} single queries");
-
-    // A raw-feature CS1 dataset ([log2 budget, M, N, K]) and a briefly
-    // trained model (throughput does not depend on accuracy).
-    let problem = Case1Problem::new(1 << CS1_BUDGET_LOG2);
-    let mut ds = Dataset::new(4, CS1_CLASSES).unwrap();
-    let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..rows {
-        let wl = random_workload(&mut rng);
-        let budget = 1u64 << rng.random_range(5..=CS1_BUDGET_LOG2);
-        ds.push(
-            &Case1Problem::features(&wl, budget),
-            rng.random_range(0..CS1_CLASSES),
-        )
-        .unwrap();
-    }
-    let mut model = AirchitectModel::new(
-        CaseStudy::ArrayDataflow,
-        &AirchitectConfig {
-            num_classes: CS1_CLASSES,
-            train: TrainConfig {
-                epochs: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    model.train(&ds).map_err(|e| CliError::Run(e.to_string()))?;
-
-    let t0 = Instant::now();
-    let preds = model.predict(&ds);
-    let batch_secs = t0.elapsed().as_secs_f64();
-    let rows_per_sec = preds.len() as f64 / batch_secs;
-    println!("  batched:      {rows_per_sec:.0} rows/s");
-
-    let recommender = Recommender::new(model).map_err(|e| CliError::Run(e.to_string()))?;
-    // The same pooled queries feed both paths, so the f32 mean and the
-    // quantized percentiles measure identical work.
-    let pool: Vec<GemmWorkload> = (0..queries).map(|_| random_workload(&mut rng)).collect();
-
-    let t0 = Instant::now();
-    for wl in &pool {
-        recommender
-            .recommend_array(&problem, wl, 1 << 10)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-    }
-    let query_us = t0.elapsed().as_secs_f64() * 1e6 / queries as f64;
-    println!("  single query (f32):  {query_us:.1} us mean");
-
-    // Quantized hot path: per-query latencies after a short warmup. The
-    // warmup grows the thread-local arena and populates the memo cache,
-    // mirroring a server's steady state.
-    for wl in pool.iter().take(64) {
-        recommender
-            .recommend_array_fast(&problem, wl, 1 << 10)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-    }
-    // Each query is timed as the minimum of three back-to-back runs:
-    // the min strips scheduler preemption and timer jitter (which would
-    // otherwise dominate single-digit-microsecond samples on a shared
-    // box) while keeping real per-query variation — rank-walk depth,
-    // decode cost — visible in the distribution. The repeats also make
-    // each query's memoized embedding row hot, mirroring a server's
-    // steady state.
-    let mut lat_ns: Vec<u64> = Vec::with_capacity(pool.len());
-    for wl in &pool {
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            recommender
-                .recommend_array_fast(&problem, wl, 1 << 10)
-                .map_err(|e| CliError::Run(e.to_string()))?;
-            best = best.min(t.elapsed().as_nanos() as u64);
-        }
-        lat_ns.push(best);
-    }
-    lat_ns.sort_unstable();
-    let p50_us = percentile(&lat_ns, 0.50) as f64 / 1000.0;
-    let p99_us = percentile(&lat_ns, 0.99) as f64 / 1000.0;
-    let avx2 = qgemm::avx2_available();
-    println!("  single query (int8): p50 {p50_us:.2} us, p99 {p99_us:.2} us (avx2: {avx2})");
-
-    // Quantized-vs-f32 top-1 agreement across all three case studies,
-    // each with a properly trained pipeline model. (The throughput model
-    // above is trained on noise: its logits are near-ties, so it would
-    // understate the agreement a deployed — confidently trained — model
-    // sees.)
-    let n_eval = if quick { 400 } else { 2_000 };
-    let pcfg = PipelineConfig {
-        samples: if quick { 600 } else { 2_500 },
-        epochs: if quick { 6 } else { 10 },
-        batch_size: 64,
-        seed: 41,
-        stratify: false,
-        threads: 1,
-    };
-    let rec1 = Recommender::new(run_case1(&pcfg, (5, CS1_BUDGET_LOG2)).model)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let eval1: Vec<Vec<f32>> = (0..n_eval)
-        .map(|_| {
-            let wl = random_workload(&mut rng);
-            let budget = 1u64 << rng.random_range(5..=CS1_BUDGET_LOG2);
-            Case1Problem::features(&wl, budget).to_vec()
-        })
-        .collect();
-    let agreement_cs1 = top1_agreement(&rec1, &eval1)?;
-
-    let rec2 = Recommender::new(run_case2(&pcfg).model)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    // Query ranges mirror `Case2DatasetSpec::default()`.
-    let eval2: Vec<Vec<f32>> = (0..n_eval)
-        .map(|_| {
-            Case2Query {
-                workload: random_workload(&mut rng),
-                array: ArrayConfig::new(
-                    1 << rng.random_range(2..=9u32),
-                    1 << rng.random_range(2..=9u32),
-                )
-                .expect("pow2 dims are non-zero"),
-                dataflow: Dataflow::from_index(rng.random_range(0..3)).expect("index < 3"),
-                bandwidth: rng.random_range(1..=100u64),
-                limit_kb: rng.random_range(300..=3000u64),
-            }
-            .features()
-            .to_vec()
-        })
-        .collect();
-    let agreement_cs2 = top1_agreement(&rec2, &eval2)?;
-
-    // CS3 labels cost a full schedule search per sample, so its training
-    // set is smaller.
-    let cfg3 = PipelineConfig {
-        samples: if quick { 300 } else { 1_200 },
-        ..pcfg
-    };
-    let rec3 = Recommender::new(run_case3(&cfg3).model)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let eval3: Vec<Vec<f32>> = (0..n_eval)
-        .map(|_| {
-            let wls: Vec<GemmWorkload> = (0..4).map(|_| random_workload(&mut rng)).collect();
-            Case3Problem::features(&wls).to_vec()
-        })
-        .collect();
-    let agreement_cs3 = top1_agreement(&rec3, &eval3)?;
-    println!(
-        "  top-1 agreement: cs1 {agreement_cs1:.4}, cs2 {agreement_cs2:.4}, \
-         cs3 {agreement_cs3:.4} ({n_eval} rows each)"
-    );
-
-    let body = format!(
-        "{{\n  \"suite\": \"infer\",\n  \"case\": \"cs1\",\n  \"rows\": {rows},\n  \
-         \"batch_rows_per_sec\": {rows_per_sec:.2},\n  \"queries\": {queries},\n  \
-         \"single_query_us\": {query_us:.3},\n  \"single_query_p50_us\": {p50_us:.3},\n  \
-         \"single_query_p99_us\": {p99_us:.3},\n  \"avx2\": {avx2},\n  \
-         \"agreement_cs1\": {agreement_cs1:.4},\n  \"agreement_cs2\": {agreement_cs2:.4},\n  \
-         \"agreement_cs3\": {agreement_cs3:.4}\n}}\n"
-    );
-    write_json(out_dir, "BENCH_infer.json", &body)?;
-
-    // Gates (after the artifact is written, so a failing run still leaves
-    // its numbers behind for debugging).
-    let min_agreement = agreement_cs1.min(agreement_cs2).min(agreement_cs3);
-    if min_agreement < 0.995 {
-        return Err(CliError::Run(format!(
-            "quantized top-1 agreement {min_agreement:.4} is below the 0.995 gate \
-             (cs1 {agreement_cs1:.4}, cs2 {agreement_cs2:.4}, cs3 {agreement_cs3:.4})"
-        )));
-    }
-    // The scalar fallback is correct but not held to the latency budget.
-    if avx2 && p50_us > 10.0 {
-        return Err(CliError::Run(format!(
-            "quantized single-query p50 {p50_us:.2} us exceeds the 10 us gate"
-        )));
-    }
-    Ok(())
-}
-
-/// Fraction of feature rows where the int8 network's top-1 label matches
-/// the f32 network's.
-fn top1_agreement(rec: &Recommender, rows: &[Vec<f32>]) -> Result<f64, CliError> {
-    let mut agree = 0usize;
-    for row in rows {
-        let quant = rec
-            .quantized_top1(row)
-            .ok_or_else(|| CliError::Run("model did not compile to the int8 path".into()))?;
-        if quant == rec.model().predict_row(row) {
-            agree += 1;
-        }
-    }
-    Ok(agree as f64 / rows.len().max(1) as f64)
-}
-
 fn random_workload(rng: &mut StdRng) -> GemmWorkload {
     GemmWorkload::new(
         rng.random_range(16..2048u64),
@@ -479,66 +230,8 @@ fn random_workload(rng: &mut StdRng) -> GemmWorkload {
     .expect("dims are positive")
 }
 
-fn bench_dse(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    let queries = if quick { 5 } else { 50 };
-    let budget_log2 = CS1_BUDGET_LOG2;
-    println!("bench dse: {queries} queries per strategy, budget 2^{budget_log2}");
-    let problem = Case1Problem::new(1 << budget_log2);
-    let mut rng = StdRng::seed_from_u64(23);
-    let workloads: Vec<GemmWorkload> = (0..queries).map(|_| random_workload(&mut rng)).collect();
-
-    let mut entries = String::new();
-    let mut measure = |name: &str, f: &mut dyn FnMut(&GemmWorkload) -> u64| {
-        let t0 = Instant::now();
-        let mut evals = 0u64;
-        for wl in &workloads {
-            evals += f(wl);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let qps = queries as f64 / secs;
-        let eps = evals as f64 / secs;
-        println!("  {name:<11} {qps:>9.1} queries/s  {eps:>11.0} evals/s");
-        entries.push_str(&format!(
-            "  \"{name}\": {{ \"queries_per_sec\": {qps:.2}, \"evals_per_sec\": {eps:.2} }},\n"
-        ));
-    };
-
-    let budget = 1u64 << budget_log2;
-    measure("exhaustive", &mut |wl| {
-        problem.search(wl, budget).evaluations
-    });
-    measure("random", &mut |wl| {
-        RandomSearch {
-            evaluations: 30,
-            seed: 0,
-        }
-        .search(&problem, wl, budget)
-        .evaluations
-    });
-    measure("hill_climb", &mut |wl| {
-        HillClimb {
-            restarts: 3,
-            seed: 0,
-        }
-        .search(&problem, wl, budget)
-        .evaluations
-    });
-    measure("genetic", &mut |wl| {
-        GeneticSearch::default()
-            .search(&problem, wl, budget)
-            .evaluations
-    });
-
-    let body = format!(
-        "{{\n  \"suite\": \"dse\",\n  \"case\": \"cs1\",\n  \"queries\": {queries},\n  \
-         \"budget_log2\": {budget_log2},\n{entries}  \"space_size\": {}\n}}\n",
-        problem.space().len()
-    );
-    write_json(out_dir, "BENCH_dse.json", &body)
-}
-
 /// Nearest-rank percentile over an already-sorted latency list.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -578,1629 +271,6 @@ fn serve_model_file(rows: usize) -> Result<std::path::PathBuf, CliError> {
     ));
     persist::save(&model, &path).map_err(|e| CliError::Run(e.to_string()))?;
     Ok(path)
-}
-
-/// Loadgen against an in-process server: `CLIENTS` keep-alive connections
-/// hammer `/v1/recommend/array` while a background thread hot-reloads the
-/// model; any 5xx fails the bench (the hot-reload-under-load guarantee).
-fn bench_serve(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    const CLIENTS: usize = 8;
-    let requests: usize = if quick { 2_000 } else { 20_000 };
-    let timeout = Duration::from_secs(30);
-    println!(
-        "bench serve: {requests} requests over {CLIENTS} keep-alive clients, reloads mid-run"
-    );
-
-    let model_path = serve_model_file(if quick { 2_000 } else { 8_000 })?;
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        model_paths: vec![model_path.clone()],
-        workers: 4,
-        queue_depth: 1024,
-        batch_max: 16,
-        cache_capacity: 4096,
-        read_timeout_secs: 30,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    // A pool of distinct bodies; clients stride through it, so later
-    // passes over the pool hit the response cache while early ones miss.
-    let mut rng = StdRng::seed_from_u64(31);
-    let pool: Arc<Vec<String>> = Arc::new(
-        (0..512)
-            .map(|_| {
-                let wl = random_workload(&mut rng);
-                format!(
-                    "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{}}}",
-                    wl.m(),
-                    wl.n(),
-                    wl.k(),
-                    1u64 << 10
-                )
-            })
-            .collect(),
-    );
-
-    // Background hot-reloader: keeps swapping the model while the load
-    // runs, to prove reloads are invisible to clients.
-    let done = Arc::new(AtomicBool::new(false));
-    let reloader = {
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || -> Result<u64, String> {
-            let mut client =
-                HttpClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-            let mut reloads = 0u64;
-            // At least one reload always lands, even if the whole load
-            // finishes inside the first sleep interval.
-            loop {
-                let resp = client.post("/v1/reload", "").map_err(|e| e.to_string())?;
-                if resp.status != 200 {
-                    return Err(format!("reload failed with {}: {}", resp.status, resp.body));
-                }
-                reloads += 1;
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Ok(reloads)
-        })
-    };
-
-    let server_errors = Arc::new(AtomicU64::new(0));
-    let cache_hits = Arc::new(AtomicU64::new(0));
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|tid| {
-            let pool = Arc::clone(&pool);
-            let server_errors = Arc::clone(&server_errors);
-            let cache_hits = Arc::clone(&cache_hits);
-            std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let mut client =
-                    HttpClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-                let mut latencies = Vec::with_capacity(requests / CLIENTS);
-                for i in 0..requests / CLIENTS {
-                    let body = &pool[(tid + i * 7) % pool.len()];
-                    let sent = Instant::now();
-                    let resp = client
-                        .post("/v1/recommend/array", body)
-                        .map_err(|e| e.to_string())?;
-                    latencies.push(sent.elapsed().as_micros() as u64);
-                    if resp.status >= 500 {
-                        server_errors.fetch_add(1, Ordering::Relaxed);
-                    } else if resp.status != 200 {
-                        return Err(format!(
-                            "unexpected {}: {}",
-                            resp.status, resp.body
-                        ));
-                    } else if resp.body.starts_with("{\"cached\":true") {
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(latencies)
-            })
-        })
-        .collect();
-
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests);
-    for handle in clients {
-        let thread_latencies = handle
-            .join()
-            .map_err(|_| CliError::Run("loadgen client panicked".into()))?
-            .map_err(CliError::Run)?;
-        latencies.extend(thread_latencies);
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    done.store(true, Ordering::Release);
-    let reloads = reloader
-        .join()
-        .map_err(|_| CliError::Run("reloader panicked".into()))?
-        .map_err(CliError::Run)?;
-
-    // Graceful shutdown must return Ok from Server::run.
-    let mut shut = HttpClient::connect(addr, timeout).map_err(|e| CliError::Run(e.to_string()))?;
-    let resp = shut
-        .post("/v1/shutdown", "")
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    if resp.status != 200 {
-        return Err(CliError::Run(format!("shutdown returned {}", resp.status)));
-    }
-    server_thread
-        .join()
-        .map_err(|_| CliError::Run("server thread panicked".into()))?
-        .map_err(|e| CliError::Run(format!("server exited with: {e}")))?;
-    let _ = std::fs::remove_file(&model_path);
-
-    let errors = server_errors.load(Ordering::Relaxed);
-    if errors > 0 {
-        return Err(CliError::Run(format!(
-            "{errors} server-side 5xx responses under hot-reload load"
-        )));
-    }
-    latencies.sort_unstable();
-    let total = latencies.len();
-    let qps = total as f64 / wall_secs;
-    let (p50, p95, p99) = (
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-    );
-    let hits = cache_hits.load(Ordering::Relaxed);
-    println!("  {qps:.0} req/s over {total} requests ({reloads} reloads, {hits} cache hits)");
-    println!("  latency p50 {p50} us, p95 {p95} us, p99 {p99} us");
-
-    let body = format!(
-        "{{\n  \"suite\": \"serve\",\n  \"case\": \"cs1\",\n  \"requests\": {total},\n  \
-         \"clients\": {CLIENTS},\n  \"reloads\": {reloads},\n  \"cache_hits\": {hits},\n  \
-         \"server_errors\": {errors},\n  \"qps\": {qps:.2},\n  \"p50_us\": {p50},\n  \
-         \"p95_us\": {p95},\n  \"p99_us\": {p99}\n}}\n"
-    );
-    write_json(out_dir, "BENCH_serve.json", &body)
-}
-
-/// MAC budget of the online suite's CS1 space: small enough that the exact
-/// oracle scores a sampled query in well under a millisecond, large enough
-/// (135 labels) that a drifted model has real room to be wrong.
-const ONLINE_BUDGET_LOG2: u32 = 10;
-
-/// The online suite's recommend body for one workload.
-fn online_body(wl: &GemmWorkload) -> String {
-    format!(
-        "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{}}}",
-        wl.m(),
-        wl.n(),
-        wl.k(),
-        1u64 << ONLINE_BUDGET_LOG2
-    )
-}
-
-/// CNN-shaped GEMMs: the balanced-ish dims convolution layers lower to.
-/// The base model is trained (on oracle labels) over this regime only.
-fn online_cnn_workload(rng: &mut StdRng) -> GemmWorkload {
-    GemmWorkload::new(
-        rng.random_range(64..512u64),
-        rng.random_range(64..512u64),
-        rng.random_range(32..384u64),
-    )
-    .expect("dims are positive")
-}
-
-/// Drifted traffic: skinny LLM-decode-style GEMMs (tiny M, huge N/K)
-/// whose optimal arrays look nothing like the CNN regime's.
-fn online_drifted_workload(rng: &mut StdRng) -> GemmWorkload {
-    GemmWorkload::new(
-        rng.random_range(1..8u64),
-        rng.random_range(1024..8192u64),
-        rng.random_range(1024..8192u64),
-    )
-    .expect("dims are positive")
-}
-
-/// Trains the base model on *oracle-labeled* CNN-shaped rows (so its
-/// initial agreement is real, not random) and persists it to a temp
-/// `.airm` the server can load and hot-reload.
-fn online_model_file(
-    problem: &Case1Problem,
-    classes: u32,
-    rows: usize,
-    epochs: usize,
-) -> Result<std::path::PathBuf, CliError> {
-    let budget = 1u64 << ONLINE_BUDGET_LOG2;
-    let mut ds = Dataset::new(4, classes).unwrap();
-    let mut rng = StdRng::seed_from_u64(37);
-    for _ in 0..rows {
-        let wl = online_cnn_workload(&mut rng);
-        ds.push(
-            &Case1Problem::features(&wl, budget),
-            problem.search(&wl, budget).label,
-        )
-        .unwrap();
-    }
-    let mut model = AirchitectModel::new(
-        CaseStudy::ArrayDataflow,
-        &AirchitectConfig {
-            num_classes: classes,
-            train: TrainConfig {
-                epochs,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    model.train(&ds).map_err(|e| CliError::Run(e.to_string()))?;
-    let path = std::env::temp_dir().join(format!(
-        "airchitect-bench-online-{}.airm",
-        std::process::id()
-    ));
-    persist::save(&model, &path).map_err(|e| CliError::Run(e.to_string()))?;
-    Ok(path)
-}
-
-/// Fire-and-count loadgen: `clients` keep-alive connections stride through
-/// `pool`; non-200s count as failed (5xx separately), transport errors
-/// count as failed and reconnect. Returns the number of requests issued.
-fn online_loadgen(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    requests: usize,
-    pool: &Arc<Vec<String>>,
-    failed: &Arc<AtomicU64>,
-    fivexx: &Arc<AtomicU64>,
-) -> Result<u64, CliError> {
-    let timeout = Duration::from_secs(30);
-    let per_client = requests / clients;
-    let handles: Vec<_> = (0..clients)
-        .map(|tid| {
-            let pool = Arc::clone(pool);
-            let failed = Arc::clone(failed);
-            let fivexx = Arc::clone(fivexx);
-            std::thread::spawn(move || {
-                let mut client = match HttpClient::connect(addr, timeout) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        failed.fetch_add(per_client as u64, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                for i in 0..per_client {
-                    let body = &pool[(tid + i * 7) % pool.len()];
-                    match client.post("/v1/recommend/array", body) {
-                        Ok(resp) if resp.status == 200 => {}
-                        Ok(resp) => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            if resp.status >= 500 {
-                                fivexx.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            // The socket may be dead; reconnect for the rest
-                            // of this client's share.
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            match HttpClient::connect(addr, timeout) {
-                                Ok(c) => client = c,
-                                Err(_) => {
-                                    failed.fetch_add(
-                                        (per_client - i - 1) as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle
-            .join()
-            .map_err(|_| CliError::Run("online loadgen client panicked".into()))?;
-    }
-    Ok((per_client * clients) as u64)
-}
-
-/// Fraction of eval queries where the live server's answer matches the
-/// exact oracle's decoded `(rows, cols, dataflow)`. Measured through HTTP
-/// so a hot-reload that silently failed to take effect would be caught.
-fn online_agreement(
-    addr: std::net::SocketAddr,
-    eval: &[(String, String)],
-    failed: &Arc<AtomicU64>,
-    fivexx: &Arc<AtomicU64>,
-) -> Result<f64, CliError> {
-    let timeout = Duration::from_secs(30);
-    let mut client =
-        HttpClient::connect(addr, timeout).map_err(|e| CliError::Run(e.to_string()))?;
-    let mut agree = 0usize;
-    for (body, expected) in eval {
-        match client.post("/v1/recommend/array", body) {
-            Ok(resp) if resp.status == 200 => {
-                if resp.body.contains(expected.as_str()) {
-                    agree += 1;
-                }
-            }
-            Ok(resp) => {
-                failed.fetch_add(1, Ordering::Relaxed);
-                if resp.status >= 500 {
-                    fivexx.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) => return Err(CliError::Run(format!("agreement probe failed: {e}"))),
-        }
-    }
-    Ok(agree as f64 / eval.len().max(1) as f64)
-}
-
-/// Blocks until the shadow pool has scored (or dropped) every admitted
-/// sample, so the misprediction log is complete before it is replayed.
-fn online_drain_shadow(timeout: Duration) -> bool {
-    let t0 = Instant::now();
-    loop {
-        let sampled = metrics::SERVE_SHADOW_SAMPLED.get();
-        let done =
-            metrics::SERVE_SHADOW_RECORDS.get() + metrics::SERVE_SHADOW_DROPPED.get();
-        if done >= sampled {
-            return true;
-        }
-        if t0.elapsed() > timeout {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Closed-loop online-learning soak.
-///
-/// A CS1 model trained on oracle-labeled CNN-shaped GEMMs serves live
-/// traffic with shadow-oracle sampling at rate 1.0. The query distribution
-/// then drifts to skinny LLM-decode shapes the model has never seen; the
-/// [`OnlinePolicy`] watches the shadow counters, and each time it fires the
-/// controller replays the misprediction log through [`fine_tune`], persists
-/// the tuned checkpoint over the served path, and pushes it live with
-/// `POST /v1/reload`.
-///
-/// Gates (any failure fails the bench, after the artifact is written):
-/// * at least one automatic fine-tune + hot-reload cycle fired;
-/// * top-1 agreement vs the exact oracle over the drifted distribution is
-///   strictly higher after the cycle(s) than before;
-/// * zero failed client requests and zero 5xx — reloads and shadow
-///   sampling must be invisible to the serving path.
-fn bench_online(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    const CLIENTS: usize = 4;
-    let train_rows = if quick { 1_200 } else { 4_000 };
-    let train_epochs = if quick { 2 } else { 4 };
-    let warm_requests = if quick { 512 } else { 4_096 };
-    let drift_pool_size = if quick { 48 } else { 96 };
-    let chunk_requests = drift_pool_size * 4;
-    let max_rounds = if quick { 4 } else { 6 };
-    let budget = 1u64 << ONLINE_BUDGET_LOG2;
-    let drain_timeout = Duration::from_secs(60);
-
-    let space = Case1Space::new(budget);
-    let classes = space.len() as u32;
-    let problem = Case1Problem::new(budget);
-    println!(
-        "bench online: {classes}-class CS1 space, {train_rows} oracle-labeled CNN rows, \
-         drift pool {drift_pool_size}, up to {max_rounds} rounds"
-    );
-
-    println!("  training base model on the CNN regime...");
-    let model_path = online_model_file(&problem, classes, train_rows, train_epochs)?;
-    let shadow_dir = std::env::temp_dir().join(format!(
-        "airchitect-bench-online-shadow-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&shadow_dir);
-
-    // Counter baselines, so the artifact reports this run only.
-    let sampled0 = metrics::SERVE_SHADOW_SAMPLED.get();
-    let dropped0 = metrics::SERVE_SHADOW_DROPPED.get();
-    let records0 = metrics::SERVE_SHADOW_RECORDS.get();
-    let disagree0 = metrics::SERVE_SHADOW_DISAGREEMENTS.get();
-
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        model_paths: vec![model_path.clone()],
-        workers: 2,
-        queue_depth: 1024,
-        batch_max: 16,
-        cache_capacity: 4096,
-        read_timeout_secs: 30,
-        shadow_rate: 1.0,
-        shadow_dir: Some(shadow_dir.clone()),
-        shadow_queue_depth: 4096,
-        shadow_threads: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    // Distinct body pools per phase; the drifted pool doubles as the
-    // agreement eval set, with oracle answers decoded up front.
-    let mut rng = StdRng::seed_from_u64(41);
-    let warm_pool: Arc<Vec<String>> = Arc::new(
-        (0..256)
-            .map(|_| online_body(&online_cnn_workload(&mut rng)))
-            .collect(),
-    );
-    let mut eval: Vec<(String, String)> = Vec::with_capacity(drift_pool_size);
-    for _ in 0..drift_pool_size {
-        let wl = online_drifted_workload(&mut rng);
-        let label = problem.search(&wl, budget).label;
-        let (array, dataflow) = space
-            .decode(label)
-            .ok_or_else(|| CliError::Run("oracle label outside its own space".into()))?;
-        let expected = format!(
-            "\"result\":{{\"rows\":{},\"cols\":{},\"macs\":{},\"dataflow\":\"{dataflow}\"}}",
-            array.rows(),
-            array.cols(),
-            array.rows() * array.cols(),
-        );
-        eval.push((online_body(&wl), expected));
-    }
-    let drift_pool: Arc<Vec<String>> =
-        Arc::new(eval.iter().map(|(body, _)| body.clone()).collect());
-
-    let failed = Arc::new(AtomicU64::new(0));
-    let fivexx = Arc::new(AtomicU64::new(0));
-    let t_soak = Instant::now();
-    let mut requests_total = 0u64;
-
-    // Phase A: in-distribution traffic. The shadow records written here are
-    // overwhelmingly agreements — the policy must not fire on them.
-    requests_total +=
-        online_loadgen(addr, CLIENTS, warm_requests, &warm_pool, &failed, &fivexx)?;
-    if !online_drain_shadow(drain_timeout) {
-        return Err(CliError::Run("shadow queue failed to drain after warmup".into()));
-    }
-    let agreement_before = online_agreement(addr, &eval, &failed, &fivexx)?;
-    requests_total += eval.len() as u64;
-    println!("  drifted-distribution agreement before fine-tune: {agreement_before:.4}");
-
-    // Phase B: drifted traffic, policy-watched. Each round drives a chunk,
-    // drains the shadow pool, consults the policy on the counter deltas
-    // since the last cycle, and fires fine-tune + reload when it triggers.
-    let policy = OnlinePolicy::default();
-    let opts = FineTuneOptions {
-        epochs: if quick { 8 } else { 10 },
-        lr: 3e-3,
-        batch_size: 32,
-        threads: 2,
-        seed: 7,
-    };
-    let mut cycles = 0u64;
-    let mut agreement_after = agreement_before;
-    let mut cycle_records0 = metrics::SERVE_SHADOW_RECORDS.get();
-    let mut cycle_disagree0 = metrics::SERVE_SHADOW_DISAGREEMENTS.get();
-    for round in 0..max_rounds {
-        requests_total +=
-            online_loadgen(addr, CLIENTS, chunk_requests, &drift_pool, &failed, &fivexx)?;
-        if !online_drain_shadow(drain_timeout) {
-            return Err(CliError::Run(format!(
-                "shadow queue failed to drain in round {round}"
-            )));
-        }
-        let window_samples = metrics::SERVE_SHADOW_RECORDS.get() - cycle_records0;
-        let window_disagreements =
-            metrics::SERVE_SHADOW_DISAGREEMENTS.get() - cycle_disagree0;
-        let stats = DriftStats {
-            window_samples,
-            window_disagreements,
-            agreement: if window_samples == 0 {
-                1.0
-            } else {
-                (window_samples - window_disagreements) as f64 / window_samples as f64
-            },
-            oracle_mean_us: metrics::SERVE_SHADOW_ORACLE_US.snapshot().mean(),
-            total_samples: metrics::SERVE_SHADOW_RECORDS.get() - records0,
-            total_disagreements: metrics::SERVE_SHADOW_DISAGREEMENTS.get() - disagree0,
-        };
-        if policy.should_fine_tune(&stats) {
-            let scan = read_dir(&shadow_dir).map_err(|e| CliError::Io {
-                path: shadow_dir.display().to_string(),
-                message: e.to_string(),
-            })?;
-            let mut model =
-                persist::load(&model_path).map_err(|e| CliError::Run(e.to_string()))?;
-            let outcome = fine_tune(&mut model, &scan.records, &opts)
-                .map_err(|e| CliError::Run(e.to_string()))?;
-            if outcome.report.is_some() {
-                persist::save(&model, &model_path)
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                let mut client = HttpClient::connect(addr, Duration::from_secs(30))
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                let resp = client
-                    .post("/v1/reload", "")
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                if resp.status != 200 {
-                    return Err(CliError::Run(format!(
-                        "reload after fine-tune returned {}: {}",
-                        resp.status, resp.body
-                    )));
-                }
-                cycles += 1;
-                cycle_records0 = metrics::SERVE_SHADOW_RECORDS.get();
-                cycle_disagree0 = metrics::SERVE_SHADOW_DISAGREEMENTS.get();
-                println!(
-                    "  round {round}: policy fired (window agreement {:.4}) -> \
-                     fine-tuned on {} rows (v{}), hot-reloaded",
-                    stats.agreement, outcome.used_rows, outcome.target_version
-                );
-            }
-        }
-        agreement_after = online_agreement(addr, &eval, &failed, &fivexx)?;
-        requests_total += eval.len() as u64;
-        println!("  round {round}: drifted agreement {agreement_after:.4} ({cycles} cycles)");
-        if cycles >= 1 && agreement_after > agreement_before {
-            break;
-        }
-    }
-    let wall_secs = t_soak.elapsed().as_secs_f64();
-
-    // Graceful shutdown closes the misprediction log with its end line.
-    let mut shut = HttpClient::connect(addr, Duration::from_secs(30))
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let resp = shut
-        .post("/v1/shutdown", "")
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    if resp.status != 200 {
-        return Err(CliError::Run(format!("shutdown returned {}", resp.status)));
-    }
-    server_thread
-        .join()
-        .map_err(|_| CliError::Run("server thread panicked".into()))?
-        .map_err(|e| CliError::Run(format!("server exited with: {e}")))?;
-
-    // Every closed log segment must be a schema-valid telemetry file.
-    let scan = read_dir(&shadow_dir).map_err(|e| CliError::Io {
-        path: shadow_dir.display().to_string(),
-        message: e.to_string(),
-    })?;
-    let _ = std::fs::remove_file(&model_path);
-    let _ = std::fs::remove_dir_all(&shadow_dir);
-
-    let sampled = metrics::SERVE_SHADOW_SAMPLED.get() - sampled0;
-    let dropped = metrics::SERVE_SHADOW_DROPPED.get() - dropped0;
-    let records = metrics::SERVE_SHADOW_RECORDS.get() - records0;
-    let disagreements = metrics::SERVE_SHADOW_DISAGREEMENTS.get() - disagree0;
-    let oracle = metrics::SERVE_SHADOW_ORACLE_US.snapshot();
-    let failed = failed.load(Ordering::Relaxed);
-    let fivexx = fivexx.load(Ordering::Relaxed);
-    let qps = requests_total as f64 / wall_secs;
-    println!(
-        "  {requests_total} requests ({failed} failed, {fivexx} 5xx), {sampled} sampled, \
-         {records} records, {disagreements} disagreements, {dropped} dropped"
-    );
-    println!(
-        "  agreement {agreement_before:.4} -> {agreement_after:.4} after {cycles} \
-         fine-tune cycle(s); oracle mean {:.0} us",
-        oracle.mean()
-    );
-
-    // The artifact is written before the gates run, so a failed soak still
-    // leaves its numbers behind for debugging.
-    let body = format!(
-        "{{\n  \"suite\": \"online\",\n  \"case\": \"cs1\",\n  \
-         \"budget_log2\": {ONLINE_BUDGET_LOG2},\n  \"classes\": {classes},\n  \
-         \"requests\": {requests_total},\n  \"failed_requests\": {failed},\n  \
-         \"http_5xx\": {fivexx},\n  \"sampled\": {sampled},\n  \
-         \"dropped\": {dropped},\n  \"records\": {records},\n  \
-         \"disagreements\": {disagreements},\n  \"log_segments\": {},\n  \
-         \"torn_segments\": {},\n  \"cycles\": {cycles},\n  \
-         \"agreement_before\": {agreement_before:.4},\n  \
-         \"agreement_after\": {agreement_after:.4},\n  \
-         \"oracle_mean_us\": {:.2},\n  \"oracle_max_us\": {},\n  \
-         \"qps\": {qps:.2}\n}}\n",
-        scan.segments,
-        scan.torn_segments,
-        oracle.mean(),
-        oracle.max,
-    );
-    write_json(out_dir, "BENCH_online.json", &body)?;
-
-    if cycles == 0 {
-        return Err(CliError::Run(
-            "drift policy never fired: no fine-tune + reload cycle ran".into(),
-        ));
-    }
-    if agreement_after <= agreement_before {
-        return Err(CliError::Run(format!(
-            "oracle agreement did not improve after fine-tune \
-             ({agreement_before:.4} -> {agreement_after:.4})"
-        )));
-    }
-    if failed > 0 || fivexx > 0 {
-        return Err(CliError::Run(format!(
-            "{failed} failed requests / {fivexx} 5xx during the online soak"
-        )));
-    }
-    Ok(())
-}
-
-/// Shared loadgen over self-healing clients: `clients` threads stride
-/// through a body pool against `addr`, returning (latencies_us,
-/// failed_count). Failures are exhausted-retry transport errors or
-/// non-200 statuses — under cluster failover both should be zero.
-fn cluster_loadgen(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    requests: usize,
-    pool: &Arc<Vec<String>>,
-    progress: &Arc<AtomicU64>,
-) -> Result<(Vec<u64>, u64), CliError> {
-    let timeout = Duration::from_secs(10);
-    let failed = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..clients)
-        .map(|tid| {
-            let pool = Arc::clone(pool);
-            let failed = Arc::clone(&failed);
-            let progress = Arc::clone(progress);
-            std::thread::spawn(move || -> Vec<u64> {
-                let mut client =
-                    RetryClient::new(addr, timeout, 4, Duration::from_millis(50));
-                let mut latencies = Vec::with_capacity(requests / clients);
-                for i in 0..requests / clients {
-                    let body = &pool[(tid + i * 7) % pool.len()];
-                    let sent = Instant::now();
-                    match client.post("/v1/recommend/array", body) {
-                        Ok(resp) if resp.status == 200 => {}
-                        _ => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    latencies.push(sent.elapsed().as_micros() as u64);
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies = Vec::with_capacity(requests);
-    for handle in handles {
-        latencies.extend(
-            handle
-                .join()
-                .map_err(|_| CliError::Run("loadgen client panicked".into()))?,
-        );
-    }
-    Ok((latencies, failed.load(Ordering::Relaxed)))
-}
-
-/// Loadgen against a supervised cluster with a mid-run replica SIGKILL.
-///
-/// Gates (any failure fails the bench):
-/// * zero failed client requests while a replica dies under load — the
-///   router's retry-on-next-replica must absorb the crash;
-/// * the killed replica is restarted and re-admitted to the ring within a
-///   bounded window after the load drains;
-/// * aggregate cluster QPS at least matches the single-replica figure —
-///   measured through the same router with one replica, so the constant
-///   per-hop proxy cost cancels and the gate isolates what scaling out
-///   (and dying mid-run) actually costs. Replica caches are disabled so
-///   the comparison is inference-bound, not cache-bound. On machines too
-///   small to run the fleet in parallel the >= 1x requirement relaxes to a
-///   bounded-degradation floor (see the gate comment below).
-fn bench_cluster(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    const CLIENTS: usize = 16;
-    const REPLICAS: usize = 3;
-    let requests: usize = if quick { 2_000 } else { 12_000 };
-    let single_requests: usize = if quick { 1_000 } else { 4_000 };
-    println!(
-        "bench cluster: {requests} requests over {CLIENTS} clients against {REPLICAS} replicas, \
-         one SIGKILL mid-run"
-    );
-
-    let model_path = serve_model_file(if quick { 2_000 } else { 8_000 })?;
-    // Replica caches off: the QPS gate compares inference throughput, and
-    // a killed replica must cost recomputation, not a warm cache.
-    let replica_config = ServeConfig {
-        model_paths: vec![model_path.clone()],
-        workers: 2,
-        queue_depth: 1024,
-        cache_capacity: 0,
-        read_timeout_secs: 30,
-        ..ServeConfig::default()
-    };
-
-    let mut rng = StdRng::seed_from_u64(41);
-    let pool: Arc<Vec<String>> = Arc::new(
-        (0..256)
-            .map(|_| {
-                let wl = random_workload(&mut rng);
-                format!(
-                    "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{}}}",
-                    wl.m(),
-                    wl.n(),
-                    wl.k(),
-                    1u64 << 10
-                )
-            })
-            .collect(),
-    );
-
-    let program = std::env::current_exe()
-        .map_err(|e| CliError::Run(format!("cannot locate own binary: {e}")))?;
-    let mk_cfg = |replicas: usize| ClusterConfig {
-        addr: "127.0.0.1:0".into(),
-        replica_argv: Cluster::replica_argv(&program.display().to_string(), &replica_config),
-        replicas,
-        probe_interval_ms: 100,
-        restart_base_ms: 100,
-        backend_timeout_ms: 30_000,
-        read_timeout_secs: 30,
-        ..ClusterConfig::default()
-    };
-
-    // Baseline: one replica behind the same router with the same loadgen,
-    // so both figures pay the identical per-hop proxy cost and the gate
-    // compares replica capacity rather than hop latency.
-    let single_qps = {
-        let cluster = Cluster::start(mk_cfg(1)).map_err(|e| CliError::Run(e.to_string()))?;
-        let addr = cluster.local_addr();
-        if !cluster.wait_healthy(1, Duration::from_secs(60)) {
-            return Err(CliError::Run(
-                "baseline cluster never reached 1 healthy replica".into(),
-            ));
-        }
-        let cluster_thread = std::thread::spawn(move || cluster.run());
-        let progress = Arc::new(AtomicU64::new(0));
-        let t0 = Instant::now();
-        let (_, failed) = cluster_loadgen(addr, CLIENTS, single_requests, &pool, &progress)?;
-        let qps = single_requests as f64 / t0.elapsed().as_secs_f64();
-        let mut shut = RetryClient::new(addr, Duration::from_secs(5), 3, Duration::from_millis(50));
-        let _ = shut.post("/v1/shutdown", "");
-        cluster_thread
-            .join()
-            .map_err(|_| CliError::Run("baseline cluster thread panicked".into()))?
-            .map_err(|e| CliError::Run(format!("baseline cluster exited with: {e}")))?;
-        if failed > 0 {
-            return Err(CliError::Run(format!(
-                "{failed} failed requests against the single-replica baseline"
-            )));
-        }
-        println!("  single replica baseline (through router): {qps:.0} req/s");
-        qps
-    };
-
-    let cluster_cfg = mk_cfg(REPLICAS);
-    let probe_interval_ms = cluster_cfg.probe_interval_ms;
-    let cluster = Cluster::start(cluster_cfg).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = cluster.local_addr();
-    let fleet = cluster.fleet();
-    if !cluster.wait_healthy(REPLICAS, Duration::from_secs(60)) {
-        return Err(CliError::Run(format!(
-            "cluster never reached {REPLICAS} healthy replicas"
-        )));
-    }
-    let cluster_thread = std::thread::spawn(move || cluster.run());
-
-    // Killer: SIGKILL one replica once ~40% of the load has gone through.
-    let progress = Arc::new(AtomicU64::new(0));
-    let victim: u32 = 0;
-    let kill_at = (requests * 2 / 5) as u64;
-    let killed_at_ms = Arc::new(AtomicU64::new(0));
-    let killer = {
-        let fleet = Arc::clone(&fleet);
-        let progress = Arc::clone(&progress);
-        let killed_at_ms = Arc::clone(&killed_at_ms);
-        let t0 = Instant::now();
-        std::thread::spawn(move || {
-            while progress.load(Ordering::Relaxed) < kill_at {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let killed = fleet.kill_replica(victim);
-            killed_at_ms.store(t0.elapsed().as_millis() as u64, Ordering::Relaxed);
-            killed
-        })
-    };
-
-    let t0 = Instant::now();
-    let (mut latencies, failed) = cluster_loadgen(addr, CLIENTS, requests, &pool, &progress)?;
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let killed = killer
-        .join()
-        .map_err(|_| CliError::Run("killer thread panicked".into()))?;
-    if !killed {
-        return Err(CliError::Run(format!(
-            "kill_replica({victim}) found no live child to kill"
-        )));
-    }
-
-    // Re-admission gate: the killed replica must return to the ring. The
-    // load can drain before the probe thread has even ejected the victim
-    // (it still counts as healthy until then), so wait for the full
-    // eject -> restart -> re-admit cycle, not just the healthy count.
-    let readmit_deadline = Instant::now() + Duration::from_secs(30);
-    let readmit_t0 = Instant::now();
-    loop {
-        let restarts: u64 = fleet.views().iter().map(|v| v.restarts_total).sum();
-        if restarts >= 1 && fleet.healthy() >= REPLICAS {
-            break;
-        }
-        if Instant::now() >= readmit_deadline {
-            return Err(CliError::Run(format!(
-                "replica {victim} was not restarted and re-admitted within 30 s of the load \
-                 draining"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(probe_interval_ms));
-    }
-    let readmit_ms = readmit_t0.elapsed().as_millis() as u64;
-
-    let views = fleet.views();
-    let restarts_total: u64 = views.iter().map(|v| v.restarts_total).sum();
-    let failovers_total: u64 = views.iter().map(|v| v.failovers_total).sum();
-    let hedges_fired: u64 = views.iter().map(|v| v.hedges_fired).sum();
-
-    let mut shut = RetryClient::new(addr, Duration::from_secs(5), 3, Duration::from_millis(50));
-    let resp = shut
-        .post("/v1/shutdown", "")
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    if resp.status != 200 {
-        return Err(CliError::Run(format!("shutdown returned {}", resp.status)));
-    }
-    cluster_thread
-        .join()
-        .map_err(|_| CliError::Run("cluster thread panicked".into()))?
-        .map_err(|e| CliError::Run(format!("cluster exited with: {e}")))?;
-    let _ = std::fs::remove_file(&model_path);
-
-    // The headline gate: a replica died mid-run and no client saw it.
-    if failed > 0 {
-        return Err(CliError::Run(format!(
-            "{failed} client-visible failures while replica {victim} was killed under load"
-        )));
-    }
-    // Throughput gate. Scaling out only pays when the fleet has cores to
-    // run on: with router + REPLICAS x 2 workers all time-sharing a small
-    // CPU, three processes plus a mid-run SIGKILL can only cost throughput
-    // relative to one. Require the full >= 1x figure when the hardware can
-    // express the parallelism, and a bounded-degradation floor when the
-    // replicas are just contending for the same cores.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let required = if cores >= 2 * REPLICAS + 2 { 1.0 } else { 0.6 };
-    let qps = requests as f64 / wall_secs;
-    if qps < single_qps * required {
-        return Err(CliError::Run(format!(
-            "cluster QPS {qps:.0} fell below {required:.1}x the single-replica baseline \
-             {single_qps:.0} ({cores} cores)"
-        )));
-    }
-    if restarts_total == 0 {
-        return Err(CliError::Run(
-            "the killed replica recorded no restart".into(),
-        ));
-    }
-
-    latencies.sort_unstable();
-    let (p50, p95, p99) = (
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-    );
-    println!(
-        "  {qps:.0} req/s ({:.2}x single replica), 0 failed, replica {victim} killed and \
-         re-admitted in {readmit_ms} ms",
-        qps / single_qps
-    );
-    println!(
-        "  {restarts_total} restarts, {failovers_total} failovers, {hedges_fired} hedges; \
-         latency p50 {p50} us, p95 {p95} us, p99 {p99} us"
-    );
-
-    let body = format!(
-        "{{\n  \"suite\": \"cluster\",\n  \"case\": \"cs1\",\n  \"replicas\": {REPLICAS},\n  \
-         \"requests\": {requests},\n  \"clients\": {CLIENTS},\n  \"failed_requests\": {failed},\n  \
-         \"killed_replica\": {victim},\n  \"kill_at_request\": {kill_at},\n  \
-         \"restarts_total\": {restarts_total},\n  \"failovers_total\": {failovers_total},\n  \
-         \"hedges_fired\": {hedges_fired},\n  \"readmit_ms\": {readmit_ms},\n  \
-         \"qps\": {qps:.2},\n  \"single_replica_qps\": {single_qps:.2},\n  \
-         \"speedup\": {:.4},\n  \"p50_us\": {p50},\n  \"p95_us\": {p95},\n  \"p99_us\": {p99}\n}}\n",
-        qps / single_qps
-    );
-    write_json(out_dir, "BENCH_cluster.json", &body)
-}
-
-/// One rollout-soak request body with both models' precomputed answers.
-struct RolloutBody {
-    body: String,
-    /// The incumbent's (and, after the good promote, the fleet's) answer.
-    from_incumbent: String,
-    /// The regressed candidate's answer; differs from the incumbent's on
-    /// every in-slice entry by construction.
-    from_candidate: String,
-}
-
-/// Polls `/healthz` until the rollout state machine reports `idle`,
-/// returning the final body. Background loadgen clients keep the canary
-/// fed with samples while this waits.
-fn rollout_settle(client: &mut HttpClient, deadline: Duration) -> Result<String, CliError> {
-    let t0 = Instant::now();
-    loop {
-        let health = client
-            .get("/healthz")
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if health.status == 200 && health.body.contains("\"state\":\"idle\"") {
-            return Ok(health.body);
-        }
-        if t0.elapsed() > deadline {
-            return Err(CliError::Run(format!(
-                "rollout did not settle within {deadline:?}: {}",
-                health.body
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Safe-rollout soak: continuous loadgen against a registry-backed server
-/// while three checkpoints are pushed through `/v1/reload` mid-run — a
-/// corrupted artifact, a regressed (disagreeing) fine-tune, and a good
-/// one.
-///
-/// The body pool is built so the canary exposure is provable, not
-/// statistical: every 4th pool slot holds a key the server's own
-/// deterministic sampler puts in the canary slice (and on which the
-/// regressed model provably disagrees); the other slots hold
-/// out-of-slice keys. Clients stride the pool with a step coprime to its
-/// length, so any window of a client's stream contains at most
-/// `ceil(n/4)` in-slice requests — the bad candidate can never answer
-/// more than the canary split of the traffic, plus a per-client edge
-/// request at each window boundary.
-///
-/// Gates (any failure fails the bench):
-/// * the corrupted checkpoint is rejected at staging and quarantined;
-/// * the regressed checkpoint is rolled back by the agreement gate and
-///   quarantined — and its answer fraction stays within the split bound;
-/// * the good checkpoint promotes, on disk and in the live server;
-/// * zero failed requests and zero wrong (neither-model) answers.
-fn bench_rollout(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    use airchitect_serve::registry::{Registry, DEFAULT_RETAIN};
-
-    const CLIENTS: usize = 4;
-    const SPLIT: f64 = 0.25;
-    const POOL: usize = 64;
-    const BUDGET: u64 = 1 << 10;
-    let min_samples: u64 = if quick { 12 } else { 50 };
-    let train_rows = if quick { 2_000 } else { 4_000 };
-    let timeout = Duration::from_secs(30);
-    let settle_deadline = Duration::from_secs(60);
-    println!(
-        "bench rollout: canary split {SPLIT}, {CLIENTS} clients, \
-         corrupt + regressed + good checkpoints mid-run"
-    );
-
-    // Incumbent A and a regressed candidate B (different random labels, so
-    // their answers disagree on most queries).
-    let train = |seed: u64| -> Result<AirchitectModel, CliError> {
-        let mut ds = Dataset::new(4, CS1_CLASSES).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..train_rows {
-            let wl = random_workload(&mut rng);
-            let budget = 1u64 << rng.random_range(5..=CS1_BUDGET_LOG2);
-            ds.push(
-                &Case1Problem::features(&wl, budget),
-                rng.random_range(0..CS1_CLASSES),
-            )
-            .unwrap();
-        }
-        let mut model = AirchitectModel::new(
-            CaseStudy::ArrayDataflow,
-            &AirchitectConfig {
-                num_classes: CS1_CLASSES,
-                train: TrainConfig {
-                    epochs: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        model.train(&ds).map_err(|e| CliError::Run(e.to_string()))?;
-        Ok(model)
-    };
-    let model_a = train(29)?;
-    let model_b = train(43)?;
-    let bytes_a = persist::to_bytes(&model_a);
-    let bytes_b = persist::to_bytes(&model_b);
-    let rec_a = Recommender::new(model_a).map_err(|e| CliError::Run(e.to_string()))?;
-    let rec_b = Recommender::new(model_b).map_err(|e| CliError::Run(e.to_string()))?;
-
-    // Registry-backed server: the seed artifact becomes v1.
-    let dir = std::env::temp_dir().join(format!("airchitect-bench-rollout-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| CliError::Io {
-        path: dir.display().to_string(),
-        message: e.to_string(),
-    })?;
-    let seed_path = dir.join("seed.airm");
-    std::fs::write(&seed_path, &bytes_a[..]).map_err(|e| CliError::Io {
-        path: seed_path.display().to_string(),
-        message: e.to_string(),
-    })?;
-
-    // Build the pool: in-slice slots (index % 4 == 0) carry keys the
-    // server's sampler admits to the canary AND on which A and B disagree;
-    // the rest are out-of-slice keys. Classification uses the same
-    // `cache_key` + `sampled` pair the server does, so the split is exact.
-    let problem = Case1Problem::new(1 << CS1_BUDGET_LOG2);
-    let ppm = airchitect_online::sampler::rate_to_ppm(SPLIT);
-    let mut rng = StdRng::seed_from_u64(47);
-    let mut in_slice: Vec<RolloutBody> = Vec::new();
-    let mut out_slice: Vec<RolloutBody> = Vec::new();
-    let (want_in, want_out) = (POOL / 4, POOL - POOL / 4);
-    while in_slice.len() < want_in || out_slice.len() < want_out {
-        let wl = random_workload(&mut rng);
-        let body = format!(
-            "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{BUDGET}}}",
-            wl.m(),
-            wl.n(),
-            wl.k()
-        );
-        let parsed = airchitect_serve::router::parse_recommend(
-            CaseStudy::ArrayDataflow,
-            body.as_bytes(),
-        )
-        .map_err(|r| CliError::Run(format!("pool body rejected: {}", r.body)))?;
-        let (array, df) = rec_a
-            .recommend_array_fast(&problem, &wl, BUDGET)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let from_incumbent = render_cs1(&array, df);
-        let (array, df) = rec_b
-            .recommend_array_fast(&problem, &wl, BUDGET)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let from_candidate = render_cs1(&array, df);
-        let entry = RolloutBody {
-            body,
-            from_incumbent,
-            from_candidate,
-        };
-        if airchitect_online::sampler::sampled(&parsed.cache_key, ppm) {
-            if entry.from_candidate != entry.from_incumbent && in_slice.len() < want_in {
-                in_slice.push(entry);
-            }
-        } else if out_slice.len() < want_out {
-            out_slice.push(entry);
-        }
-    }
-    let mut in_slice = in_slice.into_iter();
-    let mut out_slice = out_slice.into_iter();
-    let pool: Arc<Vec<RolloutBody>> = Arc::new(
-        (0..POOL)
-            .map(|i| {
-                if i % 4 == 0 {
-                    in_slice.next().expect("filled above")
-                } else {
-                    out_slice.next().expect("filled above")
-                }
-            })
-            .collect(),
-    );
-
-    let samples0 = metrics::SERVE_CANARY_SAMPLES.get();
-    let agreements0 = metrics::SERVE_CANARY_AGREEMENTS.get();
-    let promotions0 = metrics::SERVE_CANARY_PROMOTIONS.get();
-    let rollbacks0 = metrics::SERVE_CANARY_ROLLBACKS.get();
-
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        model_paths: vec![seed_path],
-        model_dir: Some(dir.clone()),
-        canary_split: SPLIT,
-        canary_min_samples: min_samples,
-        canary_min_agreement: 0.9,
-        canary_max_p99_ratio: 1e9, // latency gate off: CI machines jitter
-        workers: 2,
-        queue_depth: 1024,
-        // Every in-slice request must reach the canary comparator, not a
-        // warm cache.
-        cache_capacity: 0,
-        read_timeout_secs: 30,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    // Continuous loadgen: every response must match one of the two
-    // precomputed answers; candidate-only answers are tallied so the
-    // exposure bound can be checked.
-    let done = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let wrong = Arc::new(AtomicU64::new(0));
-    let candidate_answers = Arc::new(AtomicU64::new(0));
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|tid| {
-            let pool = Arc::clone(&pool);
-            let done = Arc::clone(&done);
-            let total = Arc::clone(&total);
-            let failed = Arc::clone(&failed);
-            let wrong = Arc::clone(&wrong);
-            let candidate_answers = Arc::clone(&candidate_answers);
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut client =
-                    HttpClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-                let mut i = 0usize;
-                while !done.load(Ordering::Acquire) {
-                    let entry = &pool[(tid + i * 7) % pool.len()];
-                    i += 1;
-                    let resp = client
-                        .post("/v1/recommend/array", &entry.body)
-                        .map_err(|e| e.to_string())?;
-                    total.fetch_add(1, Ordering::Relaxed);
-                    if resp.status != 200 {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    } else if entry.from_candidate != entry.from_incumbent
-                        && resp.body.contains(&entry.from_candidate)
-                    {
-                        candidate_answers.fetch_add(1, Ordering::Relaxed);
-                    } else if !resp.body.contains(&entry.from_incumbent) {
-                        wrong.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(())
-            })
-        })
-        .collect();
-
-    let orchestrate = || -> Result<(u64, u64), CliError> {
-        let mut client =
-            HttpClient::connect(addr, timeout).map_err(|e| CliError::Run(e.to_string()))?;
-        // Warmup: a full pass over the pool proves the baseline serves.
-        while total.load(Ordering::Relaxed) < POOL as u64 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        // Phase 1: a corrupted checkpoint must be rejected at staging.
-        let mut reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let corrupt_v = reg
-            .add_version(b"definitely not a model artifact")
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let resp = client
-            .post("/v1/reload", "")
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if resp.status != 409 || !resp.body.contains("stage_failed") {
-            return Err(CliError::Run(format!(
-                "corrupt checkpoint was not rejected: {} {}",
-                resp.status, resp.body
-            )));
-        }
-        let reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let quarantined = |reg: &Registry, v: u64| {
-            reg.manifest()
-                .entries
-                .iter()
-                .any(|e| e.version == v && e.quarantined)
-        };
-        if !quarantined(&reg, corrupt_v) {
-            return Err(CliError::Run(format!(
-                "corrupt version v{corrupt_v} was not quarantined"
-            )));
-        }
-        println!("  corrupt checkpoint v{corrupt_v}: rejected at staging and quarantined");
-
-        // Phase 2: a regressed checkpoint canaries, fails the agreement
-        // gate, and is rolled back + quarantined.
-        let mut reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let bad_v = reg
-            .add_version(&bytes_b)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let window_start = total.load(Ordering::Relaxed);
-        let resp = client
-            .post("/v1/reload", "")
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if resp.status != 200 || !resp.body.contains("\"staged\":true") {
-            return Err(CliError::Run(format!(
-                "regressed checkpoint failed to stage: {} {}",
-                resp.status, resp.body
-            )));
-        }
-        let health = rollout_settle(&mut client, settle_deadline)?;
-        let window = total.load(Ordering::Relaxed) - window_start;
-        if !health.contains("rolled_back") {
-            return Err(CliError::Run(format!(
-                "regressed checkpoint was not rolled back: {health}"
-            )));
-        }
-        let reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if !quarantined(&reg, bad_v) {
-            return Err(CliError::Run(format!(
-                "regressed version v{bad_v} was not quarantined after rollback"
-            )));
-        }
-        println!("  regressed checkpoint v{bad_v}: canaried, rolled back, quarantined");
-
-        // Phase 3: a good checkpoint (the incumbent's own bytes, so perfect
-        // agreement) canaries and promotes.
-        let mut reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let good_v = reg
-            .add_version(&bytes_a)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        let resp = client
-            .post("/v1/reload", "")
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if resp.status != 200 || !resp.body.contains("\"staged\":true") {
-            return Err(CliError::Run(format!(
-                "good checkpoint failed to stage: {} {}",
-                resp.status, resp.body
-            )));
-        }
-        let health = rollout_settle(&mut client, settle_deadline)?;
-        if !health.contains("promoted") {
-            return Err(CliError::Run(format!(
-                "good checkpoint was not promoted: {health}"
-            )));
-        }
-        let reg = Registry::open(&dir, DEFAULT_RETAIN)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if reg.manifest().active != Some(good_v) {
-            return Err(CliError::Run(format!(
-                "registry active is {:?}, expected v{good_v}",
-                reg.manifest().active
-            )));
-        }
-        println!("  good checkpoint v{good_v}: canaried and promoted (active on disk)");
-        Ok((window, good_v))
-    };
-    let orchestration = orchestrate();
-    done.store(true, Ordering::Release);
-    for handle in clients {
-        handle
-            .join()
-            .map_err(|_| CliError::Run("rollout loadgen client panicked".into()))?
-            .map_err(CliError::Run)?;
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let mut shut =
-        HttpClient::connect(addr, timeout).map_err(|e| CliError::Run(e.to_string()))?;
-    let resp = shut
-        .post("/v1/shutdown", "")
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    if resp.status != 200 {
-        return Err(CliError::Run(format!("shutdown returned {}", resp.status)));
-    }
-    server_thread
-        .join()
-        .map_err(|_| CliError::Run("server thread panicked".into()))?
-        .map_err(|e| CliError::Run(format!("server exited with: {e}")))?;
-    let _ = std::fs::remove_dir_all(&dir);
-    let (window, good_v) = orchestration?;
-
-    let total = total.load(Ordering::Relaxed);
-    let failed = failed.load(Ordering::Relaxed);
-    let wrong = wrong.load(Ordering::Relaxed);
-    let candidate_answers = candidate_answers.load(Ordering::Relaxed);
-    let samples = metrics::SERVE_CANARY_SAMPLES.get() - samples0;
-    let agreements = metrics::SERVE_CANARY_AGREEMENTS.get() - agreements0;
-    let promotions = metrics::SERVE_CANARY_PROMOTIONS.get() - promotions0;
-    let rollbacks = metrics::SERVE_CANARY_ROLLBACKS.get() - rollbacks0;
-    let candidate_fraction = candidate_answers as f64 / window.max(1) as f64;
-    let qps = total as f64 / wall_secs;
-    println!(
-        "  {total} requests ({failed} failed, {wrong} wrong), {samples} canary samples, \
-         {promotions} promotions, {rollbacks} rollbacks"
-    );
-    println!(
-        "  bad-candidate answers: {candidate_answers}/{window} in the canary window \
-         ({candidate_fraction:.4} vs split {SPLIT})"
-    );
-
-    // The artifact is written before the gates run, so a failed soak still
-    // leaves its numbers behind for debugging.
-    let body = format!(
-        "{{\n  \"suite\": \"rollout\",\n  \"case\": \"cs1\",\n  \
-         \"canary_split\": {SPLIT},\n  \"canary_min_samples\": {min_samples},\n  \
-         \"requests\": {total},\n  \"failed_requests\": {failed},\n  \
-         \"wrong_answers\": {wrong},\n  \"corrupt_rejected\": true,\n  \
-         \"regressed_rolled_back\": true,\n  \"good_promoted\": true,\n  \
-         \"promoted_version\": {good_v},\n  \
-         \"bad_candidate_answers\": {candidate_answers},\n  \
-         \"canary_window_requests\": {window},\n  \
-         \"bad_candidate_fraction\": {candidate_fraction:.4},\n  \
-         \"canary_samples\": {samples},\n  \"canary_agreements\": {agreements},\n  \
-         \"canary_promotions\": {promotions},\n  \"canary_rollbacks\": {rollbacks},\n  \
-         \"qps\": {qps:.2}\n}}\n"
-    );
-    write_json(out_dir, "BENCH_rollout.json", &body)?;
-
-    if failed > 0 {
-        return Err(CliError::Run(format!(
-            "{failed} requests failed during the rollout soak (gate: zero)"
-        )));
-    }
-    if wrong > 0 {
-        return Err(CliError::Run(format!(
-            "{wrong} responses matched neither the incumbent nor the candidate"
-        )));
-    }
-    // Exposure bound: in-slice keys occupy every 4th pool slot and clients
-    // stride with a step coprime to the pool, so any measurement window
-    // can exceed the split by at most one edge request per client.
-    let allowed = window as f64 * SPLIT + CLIENTS as f64;
-    if (candidate_answers as f64) > allowed {
-        return Err(CliError::Run(format!(
-            "{candidate_answers} bad-candidate answers exceed the split bound \
-             ({allowed:.0} of {window})"
-        )));
-    }
-    Ok(())
-}
-
-/// Renders a CS1 answer exactly as the server does, so response bodies can
-/// be compared byte-for-byte against a locally computed oracle.
-fn render_cs1(array: &ArrayConfig, df: Dataflow) -> String {
-    format!(
-        "\"rows\":{},\"cols\":{},\"macs\":{},\"dataflow\":\"{df}\"",
-        array.rows(),
-        array.cols(),
-        array.macs()
-    )
-}
-
-/// Loadgen under a scripted fault schedule. A conductor thread cycles
-/// failpoints — inference error bursts (trip the breaker, engaging the
-/// search fallback), latency injection, and worker panics — while
-/// keep-alive clients hammer `/v1/recommend/array`. Every 200 body must
-/// match either the precomputed model answer or the precomputed exhaustive
-/// optimum for its workload. Gates: zero wrong answers, zero hung clients,
-/// a bounded 5xx fraction, and full recovery once the faults drain.
-fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
-    if !airchitect_chaos::is_enabled() {
-        return Err(CliError::Usage(
-            "suite `chaos` needs failpoints compiled in (rebuild with `--features chaos`)".into(),
-        ));
-    }
-    const CLIENTS: usize = 4;
-    const BUDGET: u64 = 1 << 10;
-    let requests: usize = if quick { 1_000 } else { 8_000 };
-    let timeout = Duration::from_secs(30);
-    println!("bench chaos: {requests} requests over {CLIENTS} clients under fault injection");
-
-    airchitect_chaos::reset();
-    let model_path = serve_model_file(if quick { 2_000 } else { 4_000 })?;
-
-    // All oracles for every pooled workload: the model's own f32 answer
-    // and its int8 answer (healthy responses arrive via the batch path or
-    // the single-query bypass respectively) plus the exhaustive optimum
-    // (degraded responses).
-    let problem = Case1Problem::new(1 << CS1_BUDGET_LOG2);
-    let model = persist::load(&model_path).map_err(|e| CliError::Run(e.to_string()))?;
-    let rec = Recommender::new(model).map_err(|e| CliError::Run(e.to_string()))?;
-    let mut rng = StdRng::seed_from_u64(37);
-    let pool: Arc<Vec<(String, String, String, String)>> = Arc::new(
-        (0..48)
-            .map(|_| -> Result<(String, String, String, String), CliError> {
-                let wl = random_workload(&mut rng);
-                let body = format!(
-                    "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{BUDGET}}}",
-                    wl.m(),
-                    wl.n(),
-                    wl.k()
-                );
-                let (array, df) = rec
-                    .recommend_array(&problem, &wl, BUDGET)
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                let from_model = render_cs1(&array, df);
-                let (array, df) = rec
-                    .recommend_array_fast(&problem, &wl, BUDGET)
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                let from_quant = render_cs1(&array, df);
-                let found = problem.search(&wl, BUDGET);
-                let (array, df) = problem
-                    .space()
-                    .decode(found.label)
-                    .ok_or_else(|| CliError::Run("search label out of space".into()))?;
-                Ok((body, from_model, from_quant, render_cs1(&array, df)))
-            })
-            .collect::<Result<_, _>>()?,
-    );
-
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        model_paths: vec![model_path.clone()],
-        workers: 4,
-        queue_depth: 1024,
-        batch_max: 16,
-        cache_capacity: 0, // every answer must be computed under fault
-        read_timeout_secs: 30,
-        deadline_ms: 2_000,
-        breaker_threshold: 5,
-        breaker_cooldown_ms: 100,
-        fallback_search: true,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    // Conductor: cycles the fault schedule until the load drains. Each
-    // entry is bounded (one-shot counts), so the 5xx budget is bounded too.
-    let done = Arc::new(AtomicBool::new(false));
-    let conductor = {
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || -> u64 {
-            let schedule = [
-                // Failure burst: exactly the breaker threshold, so the
-                // circuit opens, the fallback serves from search, and the
-                // first half-open probe after the cooldown recovers.
-                "serve.infer=err(other):1:5",
-                // Latency injection: rides under the 2 s deadline but
-                // exercises the queue under slow workers.
-                "serve.batch.dispatch=delay(40):0.3:20",
-                // A worker panic: must be isolated to one 500.
-                "serve.batch.dispatch=panic:1:1",
-            ];
-            // Healthy warmup: let the model path serve some of the load
-            // before the first fault lands.
-            std::thread::sleep(Duration::from_millis(50));
-            let mut cycles = 0u64;
-            while !done.load(Ordering::Acquire) {
-                for cfg in schedule {
-                    airchitect_chaos::configure_str(cfg).expect("valid schedule");
-                    std::thread::sleep(Duration::from_millis(60));
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
-                // Reload corruption: arm a one-shot read fault and trigger
-                // a reload. The server answers 409 (or 503 once the reload
-                // circuit opens) and keeps serving the old model; the
-                // clients' oracle checks prove no mixed-model answers leak.
-                airchitect_chaos::configure_str("serve.reload.read=err(other):1:1")
-                    .expect("valid schedule");
-                if let Ok(mut c) = HttpClient::connect(addr, Duration::from_secs(5)) {
-                    let _ = c.post("/v1/reload", "");
-                }
-                airchitect_chaos::reset();
-                cycles += 1;
-                std::thread::sleep(Duration::from_millis(40));
-            }
-            airchitect_chaos::reset();
-            cycles
-        })
-    };
-
-    let wrong = Arc::new(AtomicU64::new(0));
-    let from_model_n = Arc::new(AtomicU64::new(0));
-    let from_search_n = Arc::new(AtomicU64::new(0));
-    let fivexx = Arc::new(AtomicU64::new(0));
-    let rejected = Arc::new(AtomicU64::new(0));
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|tid| {
-            let pool = Arc::clone(&pool);
-            let wrong = Arc::clone(&wrong);
-            let from_model_n = Arc::clone(&from_model_n);
-            let from_search_n = Arc::clone(&from_search_n);
-            let fivexx = Arc::clone(&fivexx);
-            let rejected = Arc::clone(&rejected);
-            std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let mut client =
-                    HttpClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-                let mut latencies = Vec::with_capacity(requests / CLIENTS);
-                for i in 0..requests / CLIENTS {
-                    let (body, from_model, from_quant, from_search) =
-                        &pool[(tid + i * 7) % pool.len()];
-                    let sent = Instant::now();
-                    let resp = client
-                        .post("/v1/recommend/array", body)
-                        .map_err(|e| e.to_string())?;
-                    latencies.push(sent.elapsed().as_micros() as u64);
-                    match resp.status {
-                        200 => {
-                            let ok = (resp.body.contains("\"source\":\"model\"")
-                                && (resp.body.contains(from_model)
-                                    || resp.body.contains(from_quant)))
-                                || (resp.body.contains("\"source\":\"search\"")
-                                    && resp.body.contains(from_search));
-                            if !ok {
-                                wrong.fetch_add(1, Ordering::Relaxed);
-                            } else if resp.body.contains("\"source\":\"search\"") {
-                                from_search_n.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                from_model_n.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        429 => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        s if s >= 500 => {
-                            fivexx.fetch_add(1, Ordering::Relaxed);
-                        }
-                        s => return Err(format!("unexpected {s}: {}", resp.body)),
-                    }
-                }
-                Ok(latencies)
-            })
-        })
-        .collect();
-
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests);
-    for handle in clients {
-        // A client that hangs past its 30 s read timeout (or dies on a
-        // socket error) fails the whole bench: the no-hang gate.
-        let thread_latencies = handle
-            .join()
-            .map_err(|_| CliError::Run("loadgen client panicked".into()))?
-            .map_err(|e| CliError::Run(format!("client hung or failed: {e}")))?;
-        latencies.extend(thread_latencies);
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    done.store(true, Ordering::Release);
-    let fault_cycles = conductor
-        .join()
-        .map_err(|_| CliError::Run("chaos conductor panicked".into()))?;
-
-    // Recovery gate: with the faults drained, the breaker's half-open
-    // probe must close the circuit and model serving must resume.
-    let mut client = HttpClient::connect(addr, timeout).map_err(|e| CliError::Run(e.to_string()))?;
-    let mut recovered = false;
-    for _ in 0..100 {
-        let resp = client
-            .post("/v1/recommend/array", &pool[0].0)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if resp.status == 200 && resp.body.contains("\"source\":\"model\"") {
-            recovered = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    let resp = client
-        .post("/v1/shutdown", "")
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    if resp.status != 200 {
-        return Err(CliError::Run(format!("shutdown returned {}", resp.status)));
-    }
-    server_thread
-        .join()
-        .map_err(|_| CliError::Run("server thread panicked".into()))?
-        .map_err(|e| CliError::Run(format!("server exited with: {e}")))?;
-    let _ = std::fs::remove_file(&model_path);
-
-    if !recovered {
-        return Err(CliError::Run(
-            "server did not recover to model serving after faults drained".into(),
-        ));
-    }
-    let wrong = wrong.load(Ordering::Relaxed);
-    if wrong > 0 {
-        return Err(CliError::Run(format!(
-            "{wrong} responses did not match the model or search oracle"
-        )));
-    }
-    let fivexx = fivexx.load(Ordering::Relaxed);
-    // Injected faults are bounded per cycle (5 inference errors + 1
-    // panic); outside those windows the 5xx budget is 1% of the load.
-    let max_5xx = fault_cycles * 6 + (requests as u64).div_ceil(100);
-    if fivexx > max_5xx {
-        return Err(CliError::Run(format!(
-            "{fivexx} 5xx responses exceeds the {max_5xx} budget"
-        )));
-    }
-
-    latencies.sort_unstable();
-    let total = latencies.len();
-    let qps = total as f64 / wall_secs;
-    let (p50, p95, p99) = (
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-    );
-    let max_us = latencies.last().copied().unwrap_or(0);
-    let from_model_n = from_model_n.load(Ordering::Relaxed);
-    let from_search_n = from_search_n.load(Ordering::Relaxed);
-    let rejected = rejected.load(Ordering::Relaxed);
-    println!(
-        "  {qps:.0} req/s over {total} requests ({fault_cycles} fault cycles, \
-         {from_model_n} model, {from_search_n} fallback, {fivexx} 5xx, {rejected} 429)"
-    );
-    println!("  latency p50 {p50} us, p95 {p95} us, p99 {p99} us, max {max_us} us");
-
-    let body = format!(
-        "{{\n  \"suite\": \"chaos\",\n  \"case\": \"cs1\",\n  \"requests\": {total},\n  \
-         \"clients\": {CLIENTS},\n  \"fault_cycles\": {fault_cycles},\n  \
-         \"responses_model\": {from_model_n},\n  \"responses_search\": {from_search_n},\n  \
-         \"responses_5xx\": {fivexx},\n  \"responses_429\": {rejected},\n  \
-         \"wrong_answers\": {wrong},\n  \"hung_clients\": 0,\n  \
-         \"max_5xx_allowed\": {max_5xx},\n  \"recovered\": true,\n  \"qps\": {qps:.2},\n  \
-         \"p50_us\": {p50},\n  \"p95_us\": {p95},\n  \"p99_us\": {p99},\n  \
-         \"max_us\": {max_us}\n}}\n"
-    );
-    write_json(out_dir, "BENCH_chaos.json", &body)
 }
 
 /// One nonblocking loadgen connection for the c10k suite.

@@ -9,7 +9,7 @@
 //! * `generate`  — produce a labeled dataset file (`.aids`),
 //! * `train`     — train an AIrchitect model on a dataset (`.airm` output),
 //! * `recommend` — constant-time recommendation from a trained model,
-//! * `bench`     — reproducible compute-engine benchmarks (`BENCH_*.json`),
+//! * `bench`     — the training-speedup and c10k suites (`BENCH_*.json`),
 //! * `serve`     — batched, hot-reloadable HTTP inference server,
 //! * `report`    — validate and pretty-print a telemetry JSONL file.
 //!
@@ -176,25 +176,20 @@ COMMANDS:
   recommend  --model model.airm  plus the same query flags as `search`
              Constant-time recommendation from a trained model.
 
-  bench      [--suite train|infer|dse|serve|chaos|cluster|online|all]
-             [--out-dir DIR]
-             [--threads T] [--samples N] [--epochs E] [--quick]
-             Time the compute engine (training epochs vs the naive baseline,
-             batched + single-query inference, DSE search throughput, HTTP
-             serving with concurrent clients and mid-run hot-reloads) and
-             write BENCH_<suite>.json artifacts. --quick shrinks every suite
-             for smoke runs. Suite `chaos` (not in `all`; needs a build with
-             `--features chaos`) drives loadgen under injected faults and
-             gates on zero wrong answers, zero hangs, and bounded 5xx.
-             Suite `cluster` (not in `all`) loadgens a supervised
-             multi-replica cluster, SIGKILLs one replica mid-run, and gates
-             on zero failed client requests, bounded re-admission, and
-             cluster QPS at least matching a single replica.
-             Suite `online` (not in `all`) soaks a live server with a
-             drifting query distribution under shadow-oracle sampling,
-             fires `train --from-log` + POST /v1/reload when the drift
-             policy triggers, and gates on oracle agreement strictly
-             improving with zero failed requests and zero 5xx.
+  bench      --suite train|c10k [--out-dir DIR] [--quick]
+             [--threads T] [--samples N] [--epochs E]
+             Suite `train` times CS1 training epochs on the packed engine
+             against the naive reference loop (--threads, --samples and
+             --epochs size it). Suite `c10k` (Linux only) holds thousands
+             of keep-alive connections through the evented listener and
+             gates on zero failed connects, zero starved connections and
+             a core-scaled QPS floor; a `--features chaos` build also
+             injects accept faults. Each writes BENCH_<suite>.json;
+             --quick shrinks it for smoke runs. Serving latency and search
+             throughput are measured by the seeded benchmark
+             (benchmark/, BENCHMARK.json); the online, rollout, cluster
+             and chaos soaks run as `cargo test -p airchitect-cli --test
+             soaks`.
 
   serve      --model model.airm[,model2.airm...] [--host H] [--port P]
              [--cluster] [--replicas N]

@@ -296,6 +296,20 @@ fn serve_flag_validation() {
 }
 
 #[test]
+fn bench_takes_only_the_train_and_c10k_suites() {
+    // Every retired suite, `all`, and a missing `--suite` are usage
+    // errors (exit code 2) that name the two suites left.
+    for suite in ["all", "infer", "dse", "serve", "chaos", "cluster", "online", "rollout"] {
+        let err = run(&argv(&["bench", "--suite", suite])).expect_err(suite);
+        assert_eq!(err.exit_code(), 2, "{suite}: {err}");
+        assert!(err.to_string().contains("train|c10k"), "{suite}: {err}");
+    }
+    let err = run(&argv(&["bench"])).expect_err("`--suite` is required");
+    assert_eq!(err.exit_code(), 2, "{err}");
+    assert!(err.to_string().contains("train|c10k"), "{err}");
+}
+
+#[test]
 fn quick_train_rejects_contradictory_flags() {
     assert!(run(&argv(&["train", "--quick", "--data", "x.aids"])).is_err());
     assert!(run(&argv(&["train", "--case", "1", "--samples", "10", "--data", "x.aids"])).is_err());

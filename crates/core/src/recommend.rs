@@ -141,7 +141,7 @@ impl Recommender {
     ///
     /// Diagnostic companion to [`AirchitectModel::predict_row`]: comparing
     /// the two over a held-out set measures how often int8 quantization
-    /// flips the top pick (the `bench --suite infer` agreement gate).
+    /// flips the top pick (the gate in `tests/int8_agreement.rs`).
     pub fn quantized_top1(&self, features: &[f32]) -> Option<u32> {
         let quant = self.quant.as_ref()?;
         Some(self.infer_quant(quant, features, |arena| arena.top1()))

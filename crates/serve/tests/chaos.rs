@@ -101,8 +101,9 @@ fn config(breaker_threshold: u32, cooldown_ms: u64, fallback: bool) -> ServeConf
     }
 }
 
-fn shutdown(addr: SocketAddr, handle: ServerHandle) {
-    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+/// Shuts the server down over the test's own keep-alive connection, so no
+/// idle connection is left to wait out the read-timeout drain window.
+fn shutdown(mut client: HttpClient, handle: ServerHandle) {
     let resp = client.post("/v1/shutdown", "").unwrap();
     assert_eq!(resp.status, 200);
     handle.join().unwrap().unwrap();
@@ -159,7 +160,7 @@ fn breaker_opens_after_injected_failures_and_half_open_recovers() {
     assert!(health.body.contains("\"status\":\"ok\""), "{}", health.body);
     assert!(health.body.contains("\"array\":\"closed\""), "{}", health.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -192,7 +193,7 @@ fn open_circuit_with_fallback_serves_the_search_answer() {
     );
     assert!(resp.body.contains(&rendered), "{} !~ {rendered}", resp.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -222,7 +223,7 @@ fn injected_worker_stall_turns_into_a_timely_504() {
     // Once the injected stall drains, the server answers normally.
     let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -243,7 +244,7 @@ fn injected_worker_panic_is_isolated_to_one_500() {
         let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -263,7 +264,7 @@ fn injected_panic_on_the_bypass_is_isolated_to_one_500() {
         let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -292,7 +293,7 @@ fn reload_faults_409_then_trip_the_reload_breaker() {
     let health = client.get("/healthz").unwrap();
     assert!(health.body.contains("\"reload\":\"open\""), "{}", health.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -307,7 +308,7 @@ fn injected_accept_errors_are_retried_not_fatal() {
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
     assert!(airchitect_chaos::fired("serve.listener.accept") >= 1);
-    shutdown(addr, handle);
+    shutdown(HttpClient::connect(addr, TIMEOUT).unwrap(), handle);
 }
 
 // --- Safe-rollout chaos: injected faults on the registry persist paths ---
@@ -395,7 +396,7 @@ fn injected_promote_persist_failure_fails_the_rollout_then_recovers() {
     assert!(health.contains("\"version\":2"), "{health}");
     assert_eq!(Registry::open(&dir, 3).unwrap().manifest().active, Some(2));
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -430,7 +431,7 @@ fn injected_quarantine_persist_failure_is_surfaced_not_fatal() {
     let reg = Registry::open(&dir, 3).unwrap();
     assert!(reg.manifest().entries.iter().any(|e| e.version == 2 && e.quarantined));
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -66,8 +66,9 @@ fn start(config: ServeConfig) -> (SocketAddr, ServerHandle) {
     (addr, std::thread::spawn(move || server.run()))
 }
 
-fn shutdown(addr: SocketAddr, handle: ServerHandle) {
-    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+/// Shuts the server down over the test's own keep-alive connection, so no
+/// idle connection is left to wait out the read-timeout drain window.
+fn shutdown(mut client: HttpClient, handle: ServerHandle) {
     let resp = client.post("/v1/shutdown", "").unwrap();
     assert_eq!(resp.status, 200);
     handle
@@ -141,7 +142,7 @@ fn open_connections_return_to_baseline_after_a_burst() {
         "burst connections were not released (serve.open_connections stuck at {last})"
     );
     assert_eq!(accepted_total(&scrape, 2), accepted, "no further accepts");
-    shutdown(addr, handle);
+    shutdown(scraper, handle);
 }
 
 /// `serve.request_us` must observe *every* terminal path — 504s from an
@@ -187,7 +188,7 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
         "504/429/400 terminal paths must all record serve.request_us \
          (count went {before} -> {after})"
     );
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 /// The evented listener publishes per-shard gauges; the aggregate
@@ -219,7 +220,7 @@ fn evented_listener_exposes_per_shard_metrics() {
     assert!(open >= 1.0, "the scraping connection must be counted ({open})");
     let accepted = accepted_total(&scrape.body, 2);
     assert!(accepted >= 1.0, "accept counters must move ({accepted})");
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 /// A request trickled in over many small writes (slow client, tiny MTU)
@@ -270,7 +271,8 @@ fn dribbled_and_pipelined_requests_are_served() {
         buf.extend_from_slice(&tmp[..n]);
     }
     assert_eq!(count_responses(&buf), 2, "{}", String::from_utf8_lossy(&buf));
-    shutdown(addr, handle);
+    drop(stream);
+    shutdown(HttpClient::connect(addr, TIMEOUT).unwrap(), handle);
 }
 
 fn body_complete(buf: &[u8]) -> bool {
@@ -347,7 +349,7 @@ fn newline_free_megabyte_head_is_answered_413_mid_flood() {
         "flooded head must answer 413, got: {:?}",
         &text[..text.len().min(120)]
     );
-    shutdown(addr, handle);
+    shutdown(HttpClient::connect(addr, TIMEOUT).unwrap(), handle);
 }
 
 /// `--nodelay` is opt-in and must never change observable semantics,
@@ -381,8 +383,8 @@ fn nodelay_keeps_answers_identical() {
         assert_eq!(ra.status, rb.status, "{path}: {} vs {}", ra.body, rb.body);
         assert_eq!(ra.body, rb.body, "{path}");
     }
-    shutdown(addr_a, handle_a);
-    shutdown(addr_b, handle_b);
+    shutdown(a, handle_a);
+    shutdown(b, handle_b);
 }
 
 /// A slowloris client trickles header bytes forever, refreshing the
@@ -444,5 +446,5 @@ fn slowloris_header_trickle_is_reaped_with_408() {
         "reap must be counted:\n{}",
         scrape.body
     );
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }

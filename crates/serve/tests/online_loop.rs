@@ -67,8 +67,9 @@ fn start(config: ServeConfig) -> (SocketAddr, JoinHandle<Result<(), ServeError>>
     (addr, std::thread::spawn(move || server.run()))
 }
 
-fn shutdown(addr: SocketAddr, handle: JoinHandle<Result<(), ServeError>>) {
-    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+/// Shuts the server down over the test's own keep-alive connection, so no
+/// idle connection is left to wait out the read-timeout drain window.
+fn shutdown(mut client: HttpClient, handle: JoinHandle<Result<(), ServeError>>) {
     let resp = client.post("/v1/shutdown", "").unwrap();
     assert_eq!(resp.status, 200);
     handle.join().unwrap().unwrap();
@@ -156,7 +157,7 @@ fn shadow_records_survive_concurrent_reloads_with_correct_versions() {
     stop.store(true, Ordering::Release);
     reloader.join().unwrap();
     wait_for_records(&dir, phase1 + phase2);
-    shutdown(addr, handle);
+    shutdown(client, handle);
 
     // The closed log replays completely: no torn lines, no junk, one
     // record per sampled request.
@@ -217,7 +218,7 @@ fn shadow_disabled_by_default_writes_no_log() {
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
     let resp = client.post("/v1/recommend/array", &body(64)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
-    shutdown(addr, handle);
+    shutdown(client, handle);
     assert!(!dir.exists(), "rate 0 must not create a log directory");
     let _ = std::fs::remove_file(&model_path);
 }

@@ -85,8 +85,9 @@ fn default_config(models: Vec<PathBuf>) -> ServeConfig {
     }
 }
 
-fn shutdown(addr: SocketAddr, handle: ServerHandle) {
-    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+/// Shuts the server down over the test's own keep-alive connection, so no
+/// idle connection is left to wait out the read-timeout drain window.
+fn shutdown(mut client: HttpClient, handle: ServerHandle) {
     let resp = client.post("/v1/shutdown", "").unwrap();
     assert_eq!(resp.status, 200);
     handle
@@ -129,7 +130,7 @@ fn healthz_and_every_endpoint_answer() {
     assert!(resp.body.contains("\"results\":["), "{}", resp.body);
     assert!(resp.body.contains("\"score\":"), "{}", resp.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -160,7 +161,7 @@ fn repeat_queries_hit_the_cache_and_metrics_show_it() {
         metrics.body
     );
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -179,7 +180,7 @@ fn full_queue_answers_429_with_retry_after() {
     let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
     assert_eq!(resp.status, 429);
     assert_eq!(resp.retry_after, Some(1), "429 must carry Retry-After");
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -189,7 +190,7 @@ fn unloaded_case_answers_503() {
     let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body);
     assert!(resp.body.contains("model_not_loaded"), "{}", resp.body);
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -211,7 +212,7 @@ fn bad_requests_get_4xx_not_5xx() {
     let resp = client.get("/v1/reload").unwrap();
     assert_eq!(resp.status, 405);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -236,7 +237,7 @@ fn reload_bumps_the_generation_and_invalidates_the_cache() {
     let again = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
     assert!(again.body.starts_with("{\"cached\":true,"), "{}", again.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -265,7 +266,7 @@ fn expired_deadline_answers_504_before_any_work() {
         "metrics must count deadline_exceeded:\n{}",
         metrics.body
     );
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -333,7 +334,7 @@ fn slow_reader_cannot_wedge_the_server_or_shutdown() {
     }
     // Graceful shutdown must complete despite the silent connection: the
     // 1s read timeout reclaims its thread.
-    shutdown(addr, handle);
+    shutdown(client, handle);
     drop(raw);
 }
 
@@ -392,7 +393,7 @@ fn fallback_serves_the_search_answer_for_a_missing_model() {
     let again = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert!(again.body.starts_with("{\"cached\":false,"), "{}", again.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -477,7 +478,7 @@ fn degradation_ladder_is_table_driven() {
             resp.body
         );
         assert_eq!(resp.retry_after, case.retry_after, "{}", case.name);
-        shutdown(addr, handle);
+        shutdown(client, handle);
     }
 }
 
@@ -572,7 +573,7 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
     assert!(counter("serve.bypass") > 0, "{}", metrics.body);
     assert!(counter("quant.memo_misses") > 0, "{}", metrics.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
 }
 
 #[test]
@@ -611,7 +612,7 @@ fn concurrent_load_with_reloads_never_sees_5xx() {
         worker.join().expect("load thread panicked");
     }
 
-    shutdown(addr, handle);
+    shutdown(HttpClient::connect(addr, TIMEOUT).unwrap(), handle);
 }
 
 // --- Safe-rollout suite: registry mode, canary evaluation, rollback ---
@@ -711,7 +712,7 @@ fn reload_ack_reports_version_generation_and_rollout_state() {
     assert!(health.body.contains("\"version\":1"), "{}", health.body);
     assert!(health.body.contains("\"last\":\"none\""), "{}", health.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -748,7 +749,7 @@ fn immediate_reload_honors_explicit_candidate_path() {
     let health = client.get("/healthz").unwrap();
     assert!(health.body.contains("\"generation\":2"), "{}", health.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -796,7 +797,7 @@ fn canary_promotes_an_agreeing_candidate_and_persists_it() {
     assert_eq!(reg.manifest().active, Some(2));
     assert!(reg.current_path().exists());
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -868,7 +869,7 @@ fn canary_rolls_back_and_quarantines_a_disagreeing_candidate() {
     assert_eq!(rb.status, 200, "{}", rb.body);
     assert!(rb.body.contains("\"rolled_back\":false"), "{}", rb.body);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -901,6 +902,6 @@ fn corrupt_candidate_fails_staging_and_is_quarantined() {
     assert_eq!(reg.manifest().active, Some(1));
     assert!(reg.manifest().entries.iter().any(|e| e.version == 2 && e.quarantined));
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

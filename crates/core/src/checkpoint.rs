@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use airchitect_data::integrity::{append_crc_footer, atomic_write, crc32, split_crc_footer};
 use airchitect_data::{codec, Dataset};
@@ -176,7 +176,7 @@ pub fn checkpoint_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(CHECKPOINT_FILE)
 }
 
-fn put_optimizer(buf: &mut BytesMut, opt: &Optimizer) {
+fn put_optimizer(buf: &mut Vec<u8>, opt: &Optimizer) {
     match *opt {
         Optimizer::Sgd { lr, momentum } => {
             buf.put_u8(0);
@@ -237,7 +237,7 @@ pub fn to_bytes(
     epochs_done: u32,
     fingerprint: &RunFingerprint,
 ) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u32_le(epochs_done);
@@ -261,9 +261,8 @@ pub fn to_bytes(
     buf.put_u64_le(state_blob.len() as u64);
     buf.put_slice(&state_blob);
 
-    let mut out = buf.freeze().to_vec();
-    append_crc_footer(&mut out);
-    Bytes::from(out)
+    append_crc_footer(&mut buf);
+    Bytes::from(buf)
 }
 
 /// Deserializes a checkpoint produced by [`to_bytes`], verifying the CRC

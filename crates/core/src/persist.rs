@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use airchitect_data::integrity::{
     append_crc_footer, atomic_write, crc32, split_crc_footer, Integrity,
@@ -83,7 +83,8 @@ fn case_from_tag(tag: u8) -> Option<CaseStudy> {
 
 /// Serializes a model (trained or not) to bytes (version 2, checksummed).
 pub fn to_bytes(model: &AirchitectModel) -> Bytes {
-    let mut buf = BytesMut::new();
+    let net = nn_serialize::to_bytes(model.network());
+    let mut buf = Vec::with_capacity(32 + 5 * model.quantizer().num_columns() + net.len());
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u8(case_tag(model.case_study()));
@@ -106,12 +107,10 @@ pub fn to_bytes(model: &AirchitectModel) -> Bytes {
         }
     }
 
-    let net = nn_serialize::to_bytes(model.network());
     buf.put_u64_le(net.len() as u64);
     buf.put_slice(&net);
-    let mut out = buf.freeze().to_vec();
-    append_crc_footer(&mut out);
-    Bytes::from(out)
+    append_crc_footer(&mut buf);
+    Bytes::from(buf)
 }
 
 /// Deserializes a model from bytes produced by [`to_bytes`], reporting
@@ -216,6 +215,11 @@ fn parse_body(mut buf: &[u8]) -> Result<AirchitectModel, PersistError> {
     }
     let network =
         nn_serialize::from_bytes(buf).map_err(|e| PersistError::Network(e.to_string()))?;
+    if quantizer.num_columns() != network.in_dim() {
+        return Err(PersistError::Corrupt(
+            "quantizer width does not match the network input",
+        ));
+    }
     Ok(AirchitectModel::from_parts(
         case, quantizer, network, trained,
     ))
@@ -360,6 +364,68 @@ mod tests {
         ));
         let bytes = to_bytes(&model);
         assert!(from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    /// Rewrites a v2 artifact's body with `patch` and recomputes its CRC
+    /// footer, so only the structural checks can catch the damage.
+    fn patched(bytes: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (body, _) = split_crc_footer(bytes).unwrap();
+        let mut body = body.to_vec();
+        patch(&mut body);
+        append_crc_footer(&mut body);
+        body
+    }
+
+    /// Offset of the embedded network blob's header.
+    fn ainn_offset(bytes: &[u8]) -> usize {
+        bytes.windows(4).position(|w| w == b"AINN").unwrap()
+    }
+
+    /// Regression: a CRC-valid model whose network header claims
+    /// one input more than the quantizer feeds used to panic in
+    /// `AirchitectModel::from_parts`; it is a corrupt file.
+    #[test]
+    fn header_input_width_mismatch_is_corrupt_not_a_panic() {
+        let bytes = to_bytes(&small_trained_model());
+        let at = ainn_offset(&bytes) + 8;
+        let bad = patched(&bytes, |b| {
+            b[at..at + 4].copy_from_slice(&5u32.to_le_bytes())
+        });
+        let err = from_bytes(&bad).unwrap_err();
+        assert!(matches!(err, PersistError::Network(_)), "{err}");
+        assert!(err.to_string().contains("do not chain"), "{err}");
+    }
+
+    /// Regression: a network header claiming more classes than
+    /// its classifier head emits used to load and report them.
+    #[test]
+    fn header_class_count_mismatch_is_corrupt() {
+        let bytes = to_bytes(&small_trained_model());
+        let at = ainn_offset(&bytes) + 12;
+        let bad = patched(&bytes, |b| {
+            b[at..at + 4].copy_from_slice(&500u32.to_le_bytes())
+        });
+        let err = from_bytes(&bad).unwrap_err();
+        assert!(matches!(err, PersistError::Network(_)), "{err}");
+        assert!(err.to_string().contains("output width"), "{err}");
+    }
+
+    /// A quantizer with one column more than the network takes is corrupt
+    /// even when the network blob itself is consistent.
+    #[test]
+    fn quantizer_wider_than_the_network_is_corrupt() {
+        let bytes = to_bytes(&small_trained_model());
+        // Header: magic, version, case, trained, vocab, then the column
+        // count at byte 14 and the columns from byte 18.
+        let bad = patched(&bytes, |b| {
+            let cols = u32::from_le_bytes(b[14..18].try_into().unwrap());
+            b[14..18].copy_from_slice(&(cols + 1).to_le_bytes());
+            b.insert(18, 0); // one extra `Direct` column
+        });
+        assert_eq!(
+            from_bytes(&bad).unwrap_err(),
+            PersistError::Corrupt("quantizer width does not match the network input")
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::integrity::{append_crc_footer, atomic_write, crc32, split_crc_footer, Integrity};
 use crate::{DataError, Dataset};
@@ -31,23 +31,72 @@ const MAGIC: &[u8; 4] = b"AIDS";
 const VERSION: u32 = 2;
 const LEGACY_VERSION: u32 = 1;
 
+/// A 4-byte value that artifact formats store as little-endian arrays:
+/// the `f32` and `u32` payloads of every codec in the workspace (`AIDS`
+/// here; `AINN`, `AIMS` and `AIQN` in `airchitect-nn`).
+pub trait LeWord: Copy {
+    /// Decodes one value from its little-endian bytes.
+    fn from_le(bytes: [u8; 4]) -> Self;
+    /// Encodes one value as little-endian bytes.
+    fn to_le(self) -> [u8; 4];
+}
+
+impl LeWord for f32 {
+    fn from_le(bytes: [u8; 4]) -> Self {
+        f32::from_le_bytes(bytes)
+    }
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+}
+
+impl LeWord for u32 {
+    fn from_le(bytes: [u8; 4]) -> Self {
+        u32::from_le_bytes(bytes)
+    }
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+}
+
+/// Reads `n` little-endian words off the front of `buf` and advances it
+/// past them. Returns `None`, leaving `buf` untouched, when fewer than
+/// `4 n` bytes remain (or `4 n` overflows).
+///
+/// One bounds check for the whole array instead of one per value, so the
+/// decode loop compiles to a straight copy.
+pub fn get_le_array<T: LeWord>(buf: &mut &[u8], n: usize) -> Option<Vec<T>> {
+    let (head, tail) = buf.split_at_checked(n.checked_mul(4)?)?;
+    *buf = tail;
+    Some(
+        head.chunks_exact(4)
+            .map(|c| T::from_le([c[0], c[1], c[2], c[3]]))
+            .collect(),
+    )
+}
+
+/// Appends `values` to `buf` as little-endian words (the inverse of
+/// [`get_le_array`]).
+pub fn put_le_array<T: LeWord>(buf: &mut Vec<u8>, values: &[T]) {
+    let start = buf.len();
+    buf.resize(start + 4 * values.len(), 0);
+    for (dst, &v) in buf[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le());
+    }
+}
+
 /// Serializes a dataset to an in-memory buffer (version 2, checksummed).
 pub fn to_bytes(dataset: &Dataset) -> Bytes {
-    let mut buf = BytesMut::with_capacity(28 + dataset.len() * (dataset.feature_dim() * 4 + 4));
+    let mut buf = Vec::with_capacity(28 + dataset.len() * (dataset.feature_dim() * 4 + 4));
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u64_le(dataset.len() as u64);
     buf.put_u32_le(dataset.feature_dim() as u32);
     buf.put_u32_le(dataset.num_classes());
-    for &v in dataset.features() {
-        buf.put_f32_le(v);
-    }
-    for &l in dataset.labels() {
-        buf.put_u32_le(l);
-    }
-    let mut out = buf.freeze().to_vec();
-    append_crc_footer(&mut out);
-    Bytes::from(out)
+    put_le_array(&mut buf, dataset.features());
+    put_le_array(&mut buf, dataset.labels());
+    append_crc_footer(&mut buf);
+    Bytes::from(buf)
 }
 
 /// Deserializes a dataset from a buffer produced by [`to_bytes`],
@@ -120,8 +169,8 @@ fn parse_body(mut buf: &[u8]) -> Result<Dataset, DataError> {
     let classes = buf.get_u32_le();
     let need = rows
         .checked_mul(dim)
-        .and_then(|f| f.checked_mul(4))
-        .and_then(|f| f.checked_add(rows * 4))
+        .and_then(|cells| cells.checked_add(rows))
+        .and_then(|words| words.checked_mul(4))
         .ok_or(DataError::Corrupt {
             what: "size overflow",
         })?;
@@ -135,21 +184,15 @@ fn parse_body(mut buf: &[u8]) -> Result<Dataset, DataError> {
             what: "zero dim or classes",
         });
     }
-    let mut features = Vec::with_capacity(rows * dim);
-    for _ in 0..rows * dim {
-        features.push(buf.get_f32_le());
+    // Both reads fit: the payload is exactly `need` bytes.
+    let features = get_le_array(&mut buf, rows * dim).expect("payload size checked");
+    let labels: Vec<u32> = get_le_array(&mut buf, rows).expect("payload size checked");
+    if labels.iter().any(|&l| l >= classes) {
+        return Err(DataError::Corrupt {
+            what: "label out of range",
+        });
     }
-    let mut out = Dataset::new(dim, classes)?;
-    for r in 0..rows {
-        let label = buf.get_u32_le();
-        if label >= classes {
-            return Err(DataError::Corrupt {
-                what: "label out of range",
-            });
-        }
-        out.push(&features[r * dim..(r + 1) * dim], label)?;
-    }
-    Ok(out)
+    Ok(Dataset::from_parts(features, labels, dim, classes))
 }
 
 /// Writes a dataset to a file atomically (temp file + fsync + rename).
@@ -280,6 +323,52 @@ mod tests {
             from_bytes(&v1),
             Err(DataError::Corrupt {
                 what: "label out of range"
+            })
+        ));
+    }
+
+    #[test]
+    fn le_arrays_roundtrip_and_reject_short_input() {
+        let values = [1.5f32, -0.0, f32::NAN, f32::MIN_POSITIVE / 2.0, 3e38];
+        let mut buf = vec![0xAB];
+        put_le_array(&mut buf, &values);
+        assert_eq!(buf.len(), 1 + 4 * values.len());
+        for (chunk, v) in buf[1..].chunks_exact(4).zip(&values) {
+            assert_eq!(chunk, v.to_le_bytes(), "same bytes as put_f32_le");
+        }
+        let mut cursor = &buf[1..];
+        let back: Vec<f32> = get_le_array(&mut cursor, values.len()).unwrap();
+        assert!(cursor.is_empty());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values), "bit-exact, NaN included");
+
+        let mut short = &buf[1..buf.len() - 1];
+        assert!(get_le_array::<u32>(&mut short, values.len()).is_none());
+        assert_eq!(
+            short.len(),
+            buf.len() - 2,
+            "a failed read leaves the cursor"
+        );
+        let mut huge = &buf[..];
+        assert!(get_le_array::<u32>(&mut huge, usize::MAX / 2).is_none());
+    }
+
+    /// Regression: a header whose row count makes the payload
+    /// size overflow must be reported as corrupt, not overflow `rows * 4`
+    /// (a panic in debug builds).
+    #[test]
+    fn rejects_row_count_that_overflows_the_payload_size() {
+        let mut bytes = Vec::new();
+        bytes.put_slice(MAGIC);
+        bytes.put_u32_le(VERSION);
+        bytes.put_u64_le(1 << 62);
+        bytes.put_u32_le(0);
+        bytes.put_u32_le(1);
+        append_crc_footer(&mut bytes);
+        assert!(matches!(
+            from_bytes(&bytes),
+            Err(DataError::Corrupt {
+                what: "size overflow"
             })
         ));
     }

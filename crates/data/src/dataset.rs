@@ -43,6 +43,23 @@ impl Dataset {
         })
     }
 
+    /// Wraps already-validated buffers (the codec's decoder checks every
+    /// label and the buffer sizes before calling this).
+    pub(crate) fn from_parts(
+        features: Vec<f32>,
+        labels: Vec<u32>,
+        feature_dim: usize,
+        num_classes: u32,
+    ) -> Self {
+        debug_assert_eq!(features.len(), labels.len() * feature_dim);
+        Self {
+            features,
+            labels,
+            feature_dim,
+            num_classes,
+        }
+    }
+
     /// Appends one labeled row.
     ///
     /// # Errors

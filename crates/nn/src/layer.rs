@@ -123,6 +123,8 @@ impl Dense {
     ///
     /// Panics if called before a training-mode forward.
     pub fn backward_into(&mut self, grad: &Matrix, dx: &mut Matrix, need_dx: bool, threads: usize) {
+        self.w.ensure_training_buffers();
+        self.b.ensure_training_buffers();
         let x = self
             .cache_input
             .as_ref()
@@ -403,6 +405,7 @@ impl Embedding {
             !self.cache_bins.is_empty(),
             "backward without training forward"
         );
+        self.table.ensure_training_buffers();
         let batch = self.cache_batch;
         for r in 0..batch {
             let grow = grad.row(r);

@@ -50,6 +50,11 @@ pub mod train;
 
 /// A trainable parameter tensor: values, accumulated gradients, and the
 /// Adam moment buffers.
+///
+/// A decoded parameter ([`Param::from_values`]) starts with empty
+/// gradient and moment buffers; they are allocated, zeroed, when training
+/// first touches them, so a model loaded for inference holds one copy of
+/// its weights instead of four.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Param {
     /// Parameter values (layout owned by the layer).
@@ -72,6 +77,28 @@ impl Param {
         }
     }
 
+    /// Wraps decoded values with no gradient or moment buffers yet (see the
+    /// type docs); training behaves exactly as after [`Param::new`].
+    pub fn from_values(value: Vec<f32>) -> Self {
+        Self {
+            value,
+            grad: Vec::new(),
+            m: Vec::new(),
+            v: Vec::new(),
+        }
+    }
+
+    /// Allocates the zeroed gradient and moment buffers a
+    /// [`Param::from_values`] parameter lacks; a no-op once they exist.
+    pub(crate) fn ensure_training_buffers(&mut self) {
+        let n = self.value.len();
+        for buf in [&mut self.grad, &mut self.m, &mut self.v] {
+            if buf.is_empty() {
+                *buf = vec![0.0; n];
+            }
+        }
+    }
+
     /// Number of scalar parameters.
     pub fn len(&self) -> usize {
         self.value.len()
@@ -90,7 +117,9 @@ impl Param {
     }
 
     /// The optimizer moment buffers `(m, v)` — SGD momentum lives in `m`,
-    /// Adam uses both. Exposed for training checkpoints.
+    /// Adam uses both. Exposed for training checkpoints. Both are empty
+    /// for a [`Param::from_values`] parameter that has not trained, whose
+    /// moments are zero.
     pub fn moments(&self) -> (&[f32], &[f32]) {
         (&self.m, &self.v)
     }
@@ -105,5 +134,6 @@ impl Param {
         assert_eq!(v.len(), self.value.len(), "moment v length mismatch");
         self.m = m;
         self.v = v;
+        self.ensure_training_buffers();
     }
 }

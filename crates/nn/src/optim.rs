@@ -145,6 +145,7 @@ impl StepCtx {
     /// the gradient. Bitwise-identical to the update inside
     /// [`Optimizer::step`].
     pub fn apply(&self, p: &mut Param) {
+        p.ensure_training_buffers();
         match *self {
             StepCtx::Sgd { lr, momentum } => {
                 if momentum == 0.0 {

@@ -48,11 +48,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use airchitect_data::quantize::{pack_bins, MAX_PACKED_BINS};
 use airchitect_telemetry::metrics;
 use airchitect_tensor::qgemm;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::layer::Layer;
 use crate::network::Sequential;
-use crate::serialize::ModelCodecError;
+use crate::serialize::{get_values, put_values, ModelCodecError};
 
 const MAGIC: &[u8; 4] = b"AIQN";
 const VERSION: u32 = 1;
@@ -137,18 +137,77 @@ fn next_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Symmetric int8 quantization: `scale = max|v| / 127`, values clamped to
-/// `[-127, 127]` (the full `-128` is left unused to keep the scheme
-/// symmetric).
-fn quantize_symmetric(values: &[f32]) -> (Vec<i8>, f32) {
-    let max = values.iter().fold(0f32, |m, v| m.max(v.abs()));
+/// Symmetric int8 quantization of `src` into `dst`: `scale = max|v| / 127`,
+/// values rounded half away from zero and clamped to `[-127, 127]` (the
+/// full `-128` is left unused to keep the scheme symmetric). Returns the
+/// scale.
+fn quantize_into(src: &[f32], dst: &mut [i8]) -> f32 {
+    let max = max_abs(src);
     let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
     let inv = 1.0 / scale;
-    let q = values
-        .iter()
-        .map(|v| (v * inv).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    (q, scale)
+    for (q, &v) in dst.iter_mut().zip(src) {
+        *q = round_to_i8(v * inv);
+    }
+    scale
+}
+
+/// `max |v|` over `values`, NaNs ignored (0 for an empty or all-NaN
+/// slice). Eight lane-wise maxima break the serial dependency chain so the
+/// scan vectorizes; `max` is exact, so the lane order cannot change the
+/// result.
+fn max_abs(values: &[f32]) -> f32 {
+    let mut lanes = [0f32; 8];
+    let mut chunks = values.chunks_exact(8);
+    for c in chunks.by_ref() {
+        for (lane, &v) in lanes.iter_mut().zip(c) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    let tail = chunks.remainder().iter().fold(0f32, |m, v| m.max(v.abs()));
+    lanes.iter().fold(tail, |m, &v| m.max(v))
+}
+
+/// Exactly `x.round().clamp(-127.0, 127.0) as i8` for every `f32` (NaN
+/// gives 0), built from a truncating cast and the fraction it drops so the
+/// loop vectorizes: `f32::round` is a libm call per value on x86-64.
+///
+/// After the clamp `|c| <= 127`, so `c as i32` and `t as f32` are exact
+/// and `c - t` is the exact fractional part; stepping one away from zero
+/// when it reaches ±0.5 is round-half-away-from-zero. Clamping first is
+/// equivalent because rounding is monotone and ±127 are integers.
+#[inline]
+fn round_to_i8(x: f32) -> i8 {
+    let c = x.clamp(-127.0, 127.0);
+    let t = c as i32;
+    let frac = c - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
+}
+
+/// Side of the square tiles [`transpose_scaled`] copies through.
+const TRANSPOSE_BLOCK: usize = 32;
+
+/// `dst[o * rows + k] = src[k * cols + o] * fold(k)`: transposes a
+/// `rows × cols` row-major matrix tile by tile, so both the reads and the
+/// strided writes stay within a few cache lines per tile.
+fn transpose_scaled(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    fold: impl Fn(usize) -> f32,
+    dst: &mut [f32],
+) {
+    for k0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
+        let k1 = (k0 + TRANSPOSE_BLOCK).min(rows);
+        for o0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
+            let o1 = (o0 + TRANSPOSE_BLOCK).min(cols);
+            for k in k0..k1 {
+                let f = fold(k);
+                for (o, &w) in (o0..o1).zip(&src[k * cols + o0..k * cols + o1]) {
+                    dst[o * rows + k] = w * f;
+                }
+            }
+        }
+    }
 }
 
 impl QuantizedNetwork {
@@ -171,12 +230,13 @@ impl QuantizedNetwork {
                 let (nf, vocab, ed) = (e.num_features(), e.vocab(), e.embed_dim());
                 let block = vocab * ed;
                 let mut table = vec![0i8; e.table().value.len()];
-                let mut scales = vec![0f32; nf];
-                for f in 0..nf {
-                    let (qb, s) = quantize_symmetric(&e.table().value[f * block..][..block]);
-                    table[f * block..][..block].copy_from_slice(&qb);
-                    scales[f] = s;
-                }
+                let scales: Vec<f32> = e
+                    .table()
+                    .value
+                    .chunks_exact(block)
+                    .zip(table.chunks_exact_mut(block))
+                    .map(|(src, dst)| quantize_into(src, dst))
+                    .collect();
                 (
                     QuantEmbedding {
                         num_features: nf,
@@ -201,28 +261,25 @@ impl QuantizedNetwork {
                     let (in_dim, out_dim) = (d.in_dim(), d.out_dim());
                     let wv = &d.weights().value; // in_dim × out_dim
                     let mut transposed = vec![0f32; wv.len()];
-                    for k in 0..in_dim {
-                        // The first dense layer absorbs the per-feature
-                        // embedding scales: its input is the raw int8
-                        // embedding row, so the dequantization factor
-                        // folds into the weight column ahead of weight
-                        // quantization.
-                        let fold = if layers.is_empty() {
+                    // The first dense layer absorbs the per-feature
+                    // embedding scales: its input is the raw int8
+                    // embedding row, so the dequantization factor folds
+                    // into the weight column ahead of weight quantization.
+                    let first = layers.is_empty();
+                    let fold = |k: usize| {
+                        if first {
                             emb_scales[k / embedding.embed_dim]
                         } else {
                             1.0
-                        };
-                        for o in 0..out_dim {
-                            transposed[o * in_dim + k] = wv[k * out_dim + o] * fold;
                         }
-                    }
+                    };
+                    transpose_scaled(wv, in_dim, out_dim, fold, &mut transposed);
                     let mut w = vec![0i8; transposed.len()];
-                    let mut scales = vec![0f32; out_dim];
-                    for o in 0..out_dim {
-                        let (qr, s) = quantize_symmetric(&transposed[o * in_dim..][..in_dim]);
-                        w[o * in_dim..][..in_dim].copy_from_slice(&qr);
-                        scales[o] = s;
-                    }
+                    let scales = transposed
+                        .chunks_exact(in_dim)
+                        .zip(w.chunks_exact_mut(in_dim))
+                        .map(|(src, dst)| quantize_into(src, dst))
+                        .collect();
                     last_transposed = transposed;
                     layers.push(QuantDense {
                         in_dim,
@@ -468,43 +525,29 @@ impl QuantizedNetwork {
     /// always produces the same bytes, and
     /// `to_bytes(from_bytes(b)) == b`.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        fn put_i8s(buf: &mut Vec<u8>, values: &[i8]) {
+            buf.put_u64_le(values.len() as u64);
+            buf.extend(values.iter().map(|&v| v as u8));
+        }
+        let mut buf = Vec::new();
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(self.embedding.num_features as u64);
         buf.put_u64_le(self.embedding.vocab as u64);
         buf.put_u64_le(self.embedding.embed_dim as u64);
-        buf.put_u64_le(self.emb_scales.len() as u64);
-        for &s in &self.emb_scales {
-            buf.put_f32_le(s);
-        }
-        buf.put_u64_le(self.embedding.table.len() as u64);
-        for &v in &self.embedding.table {
-            buf.put_u8(v as u8);
-        }
+        put_values(&mut buf, &self.emb_scales);
+        put_i8s(&mut buf, &self.embedding.table);
         buf.put_u64_le(self.layers.len() as u64);
         for layer in &self.layers {
             buf.put_u64_le(layer.in_dim as u64);
             buf.put_u64_le(layer.out_dim as u64);
-            buf.put_u64_le(layer.scales.len() as u64);
-            for &s in &layer.scales {
-                buf.put_f32_le(s);
-            }
+            put_values(&mut buf, &layer.scales);
             buf.put_u8(u8::from(layer.relu));
-            buf.put_u64_le(layer.w.len() as u64);
-            for &v in &layer.w {
-                buf.put_u8(v as u8);
-            }
-            buf.put_u64_le(layer.bias.len() as u64);
-            for &v in &layer.bias {
-                buf.put_f32_le(v);
-            }
+            put_i8s(&mut buf, &layer.w);
+            put_values(&mut buf, &layer.bias);
         }
-        buf.put_u64_le(self.last_w_f32.len() as u64);
-        for &v in &self.last_w_f32 {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
+        put_values(&mut buf, &self.last_w_f32);
+        Bytes::from(buf)
     }
 
     /// Deserializes an `AIQN` artifact, validating every length and the
@@ -526,7 +569,7 @@ impl QuantizedNetwork {
         let num_features = get_dim(buf)?;
         let vocab = get_dim(buf)?;
         let embed_dim = get_dim(buf)?;
-        let emb_scales = get_f32_values(buf)?;
+        let emb_scales = get_values(buf)?;
         if emb_scales.len() != num_features {
             return Err(ModelCodecError::Corrupt("embedding scale count mismatch"));
         }
@@ -547,7 +590,7 @@ impl QuantizedNetwork {
         for _ in 0..n_layers {
             let in_dim = get_dim(buf)?;
             let out_dim = get_dim(buf)?;
-            let scales = get_f32_values(buf)?;
+            let scales = get_values(buf)?;
             if scales.len() != out_dim {
                 return Err(ModelCodecError::Corrupt("scale count mismatch"));
             }
@@ -563,7 +606,7 @@ impl QuantizedNetwork {
             if w.len() != expect {
                 return Err(ModelCodecError::Corrupt("weight buffer size mismatch"));
             }
-            let bias = get_f32_values(buf)?;
+            let bias = get_values(buf)?;
             if bias.len() != out_dim {
                 return Err(ModelCodecError::Corrupt("bias size mismatch"));
             }
@@ -580,7 +623,7 @@ impl QuantizedNetwork {
                 bias,
             });
         }
-        let last_w_f32 = get_f32_values(buf)?;
+        let last_w_f32 = get_values(buf)?;
         let last = layers.last().expect("layer count validated above");
         if !last_w_f32.is_empty() && last_w_f32.len() != last.in_dim * last.out_dim {
             return Err(ModelCodecError::Corrupt("rescore weight size mismatch"));
@@ -701,23 +744,6 @@ fn get_i8_values(buf: &mut &[u8]) -> Result<Vec<i8>, ModelCodecError> {
     }
     let out = buf[..n].iter().map(|&b| b as i8).collect();
     buf.advance(n);
-    Ok(out)
-}
-
-fn get_f32_values(buf: &mut &[u8]) -> Result<Vec<f32>, ModelCodecError> {
-    let n: usize = get_u64(buf)?
-        .try_into()
-        .map_err(|_| ModelCodecError::Corrupt("value count overflows usize"))?;
-    let bytes = n
-        .checked_mul(4)
-        .ok_or(ModelCodecError::Corrupt("f32 values overflow"))?;
-    if buf.len() < bytes {
-        return Err(ModelCodecError::Corrupt("truncated f32 values"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_f32_le());
-    }
     Ok(out)
 }
 
@@ -933,6 +959,129 @@ mod tests {
                     "logit drift {q} vs {e} (tol {tol}, seed {seed})"
                 );
             }
+        }
+    }
+
+    /// The rounding `from_network` used before the vectorized compile.
+    fn round_oracle(x: f32) -> i8 {
+        x.round().clamp(-127.0, 127.0) as i8
+    }
+
+    /// The per-row quantizer `from_network` used before the vectorized
+    /// compile: a serial max fold and `f32::round`.
+    fn quantize_oracle(values: &[f32]) -> (Vec<i8>, f32) {
+        let max = values.iter().fold(0f32, |m, v| m.max(v.abs()));
+        let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
+        let inv = 1.0 / scale;
+        (
+            values.iter().map(|&v| round_oracle(v * inv)).collect(),
+            scale,
+        )
+    }
+
+    /// `x` and the four floats on either side of it.
+    fn with_neighbours(x: f32) -> impl Iterator<Item = f32> {
+        let mut below = x;
+        let mut above = x;
+        let mut out = vec![x];
+        for _ in 0..4 {
+            below = below.next_down();
+            above = above.next_up();
+            out.extend([below, above]);
+        }
+        out.into_iter()
+    }
+
+    #[test]
+    fn rounding_matches_round_half_away_from_zero_then_clamp() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MAX,
+            f32::MIN,
+            1e9,
+            -3e9,
+            8_388_608.5,
+        ];
+        for edge in [0.5f32, 1.5, 2.5, 63.5, 126.5, 127.0, 127.5, 128.0] {
+            inputs.extend(with_neighbours(edge));
+            inputs.extend(with_neighbours(-edge));
+        }
+        for x in inputs {
+            assert_eq!(
+                round_to_i8(x),
+                round_oracle(x),
+                "x = {x:e} ({:#010x})",
+                x.to_bits()
+            );
+        }
+        // Every float in [-130, 130] at a 1/64 step, and the ties between.
+        for i in -130 * 128..=130 * 128 {
+            let x = i as f32 / 128.0;
+            assert_eq!(round_to_i8(x), round_oracle(x), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn quantize_into_matches_the_serial_oracle() {
+        let scaled = |v: &[f32], by: f32| v.iter().map(|x| x * by).collect::<Vec<_>>();
+        let ramp: Vec<f32> = (0..37).map(|i| (i as f32 - 18.3) * 0.731).collect();
+        let mut rows = vec![
+            vec![],
+            vec![0.0; 16],
+            vec![-0.0; 11],
+            vec![f32::NAN; 9],
+            vec![f32::from_bits(3), -f32::from_bits(7), 0.0],
+            // ±127 after scaling, and exact ties at ±0.5 and ±126.5.
+            vec![127.0, -127.0, 0.5, -0.5, 126.5, -126.5, 1.5, -1.5],
+            vec![1.0, f32::NAN, -2.0, 3.0, f32::NAN, 0.25, -0.75, 9.0, 1.0],
+            ramp.clone(),
+            scaled(&ramp, 1e-30),
+            scaled(&ramp, 3e30),
+        ];
+        // Max-abs in the tail past the last multiple of eight.
+        for len in [9usize, 13, 15, 17, 23, 31] {
+            let mut row: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            row[len - 1] = -5.0;
+            rows.push(row);
+        }
+        for row in rows {
+            let (want_q, want_scale) = quantize_oracle(&row);
+            let mut got_q = vec![0i8; row.len()];
+            let got_scale = quantize_into(&row, &mut got_q);
+            assert_eq!(
+                got_scale.to_bits(),
+                want_scale.to_bits(),
+                "scale of {row:?}"
+            );
+            assert_eq!(got_q, want_q, "values of {row:?}");
+        }
+    }
+
+    #[test]
+    fn transpose_scaled_matches_the_strided_loop() {
+        for (rows, cols) in [(1, 1), (3, 70), (64, 33), (65, 97), (96, 32)] {
+            let src: Vec<f32> = (0..rows * cols).map(|i| i as f32 * 0.5 - 7.0).collect();
+            let fold = |k: usize| 1.0 + k as f32 / 8.0;
+            let mut want = vec![0f32; src.len()];
+            for k in 0..rows {
+                for o in 0..cols {
+                    want[o * rows + k] = src[k * cols + o] * fold(k);
+                }
+            }
+            let mut got = vec![0f32; src.len()];
+            transpose_scaled(&src, rows, cols, fold, &mut got);
+            assert_eq!(got, want, "{rows}×{cols}");
         }
     }
 

@@ -2,14 +2,16 @@
 //!
 //! A small hand-rolled codec (magic `AINN`, version 1) keeps the dependency
 //! set within the approved offline list — no serde data-format crate is
-//! needed. Only values are stored; gradient and moment buffers are
-//! re-zeroed on load (a loaded model is for inference or fresh fine-tuning).
+//! needed. Only values are stored; a loaded model has no gradient or moment
+//! buffers until training allocates them zeroed (a loaded model is for
+//! inference or fresh fine-tuning).
 
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use airchitect_data::codec::{get_le_array, put_le_array};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::layer::{Dense, Dropout, Embedding, Layer, Relu};
 use crate::network::Sequential;
@@ -49,32 +51,27 @@ impl From<std::io::Error> for ModelCodecError {
     }
 }
 
-fn put_values(buf: &mut BytesMut, values: &[f32]) {
+/// Appends a length-prefixed `f32` array (shared with the `AIQN` codec).
+pub(crate) fn put_values(buf: &mut Vec<u8>, values: &[f32]) {
     buf.put_u64_le(values.len() as u64);
-    for &v in values {
-        buf.put_f32_le(v);
-    }
+    put_le_array(buf, values);
 }
 
-fn get_values(buf: &mut &[u8]) -> Result<Vec<f32>, ModelCodecError> {
+/// Reads a length-prefixed `f32` array written by [`put_values`].
+pub(crate) fn get_values(buf: &mut &[u8]) -> Result<Vec<f32>, ModelCodecError> {
     if buf.remaining() < 8 {
         return Err(ModelCodecError::Corrupt("truncated length"));
     }
-    let n = buf.get_u64_le();
-    // Checked arithmetic: a corrupted length must not trigger a huge or
-    // overflowing allocation.
-    let need = n
-        .checked_mul(4)
-        .ok_or(ModelCodecError::Corrupt("length overflow"))?;
-    if (buf.remaining() as u64) < need {
-        return Err(ModelCodecError::Corrupt("truncated values"));
-    }
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
+    // Checked before allocating: a corrupted length must not trigger a
+    // huge or overflowing allocation.
+    let n = usize::try_from(buf.get_u64_le())
+        .map_err(|_| ModelCodecError::Corrupt("length overflow"))?;
+    get_le_array(buf, n).ok_or(ModelCodecError::Corrupt("truncated values"))
 }
 
 /// Serializes a network to bytes.
 pub fn to_bytes(network: &Sequential) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u32_le(network.in_dim() as u32);
@@ -103,10 +100,15 @@ pub fn to_bytes(network: &Sequential) -> Bytes {
             }
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Deserializes a network from bytes produced by [`to_bytes`].
+///
+/// Besides every length, the layer widths must chain from the header's
+/// input width to its output width, so a header that disagrees with its
+/// layers is rejected here instead of panicking (or misreporting its class
+/// count) in whatever consumes the network.
 ///
 /// # Errors
 ///
@@ -126,7 +128,9 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Sequential, ModelCodecError> {
     let in_dim = buf.get_u32_le() as usize;
     let out_dim = buf.get_u32_le() as usize;
     let n_layers = buf.get_u32_le() as usize;
-    let mut layers = Vec::with_capacity(n_layers);
+    let mut layers = Vec::with_capacity(n_layers.min(64));
+    // Width of the activations flowing into the next layer.
+    let mut width = in_dim;
     for _ in 0..n_layers {
         if buf.remaining() < 1 {
             return Err(ModelCodecError::Corrupt("truncated layer tag"));
@@ -143,11 +147,15 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Sequential, ModelCodecError> {
                 if w.len() != din * dout || b.len() != dout || din == 0 || dout == 0 {
                     return Err(ModelCodecError::Corrupt("dense size mismatch"));
                 }
+                if din != width {
+                    return Err(ModelCodecError::Corrupt("layer dimensions do not chain"));
+                }
+                width = dout;
                 layers.push(Layer::Dense(Dense::from_params(
                     din,
                     dout,
-                    Param::new(w),
-                    Param::new(b),
+                    Param::from_values(w),
+                    Param::from_values(b),
                 )));
             }
             TAG_RELU => layers.push(Layer::Relu(Relu::new())),
@@ -169,14 +177,19 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Sequential, ModelCodecError> {
                 let vocab = buf.get_u32_le() as usize;
                 let dim = buf.get_u32_le() as usize;
                 let table = get_values(&mut buf)?;
-                if table.len() != nf * vocab * dim || nf == 0 || vocab == 0 || dim == 0 {
+                let cells = nf.checked_mul(vocab).and_then(|n| n.checked_mul(dim));
+                if cells != Some(table.len()) || nf == 0 || vocab == 0 || dim == 0 {
                     return Err(ModelCodecError::Corrupt("embedding size mismatch"));
                 }
+                if nf != width {
+                    return Err(ModelCodecError::Corrupt("layer dimensions do not chain"));
+                }
+                width = nf * dim;
                 layers.push(Layer::Embedding(Embedding::from_params(
                     nf,
                     vocab,
                     dim,
-                    Param::new(table),
+                    Param::from_values(table),
                 )));
             }
             _ => return Err(ModelCodecError::Corrupt("unknown layer tag")),
@@ -187,6 +200,11 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<Sequential, ModelCodecError> {
     }
     if layers.is_empty() {
         return Err(ModelCodecError::Corrupt("no layers"));
+    }
+    if width != out_dim {
+        return Err(ModelCodecError::Corrupt(
+            "output width does not match the last layer",
+        ));
     }
     Ok(Sequential::from_layers(layers, in_dim, out_dim))
 }
@@ -203,16 +221,23 @@ const STATE_VERSION: u32 = 1;
 /// continues bit-for-bit where it stopped.
 pub fn state_to_bytes(network: &Sequential) -> Bytes {
     let params = network.params();
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_slice(STATE_MAGIC);
     buf.put_u32_le(STATE_VERSION);
     buf.put_u32_le(params.len() as u32);
     for p in params {
         let (m, v) = p.moments();
-        put_values(&mut buf, m);
-        put_values(&mut buf, v);
+        if m.is_empty() && !p.is_empty() {
+            // Never trained since it was decoded: its moments are zero.
+            let zeros = vec![0.0; p.len()];
+            put_values(&mut buf, &zeros);
+            put_values(&mut buf, &zeros);
+        } else {
+            put_values(&mut buf, m);
+            put_values(&mut buf, v);
+        }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Restores optimizer state produced by [`state_to_bytes`] into `network`.
@@ -328,6 +353,84 @@ mod tests {
         ));
     }
 
+    /// Overwrites a header field: `in_dim` (byte 8), `out_dim` (12) or
+    /// the layer count (16).
+    fn patch_header(bytes: &[u8], offset: usize, value: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        out
+    }
+
+    /// Regression: an input width the first layer does not take
+    /// is corrupt (it used to load and panic in the model wrapper).
+    #[test]
+    fn rejects_input_width_the_first_layer_does_not_take() {
+        let bytes = to_bytes(&Sequential::embedding_mlp(4, 16, 8, 32, 10, 7));
+        assert!(from_bytes(&patch_header(&bytes, 8, 4)).is_ok());
+        assert_eq!(
+            from_bytes(&patch_header(&bytes, 8, 5)).unwrap_err(),
+            ModelCodecError::Corrupt("layer dimensions do not chain")
+        );
+    }
+
+    /// Regression: an output width the last layer does not emit
+    /// is corrupt (it used to load and report that many classes).
+    #[test]
+    fn rejects_output_width_the_last_layer_does_not_emit() {
+        let bytes = to_bytes(&Sequential::embedding_mlp(4, 16, 8, 32, 10, 7));
+        assert_eq!(
+            from_bytes(&patch_header(&bytes, 12, 500)).unwrap_err(),
+            ModelCodecError::Corrupt("output width does not match the last layer")
+        );
+    }
+
+    /// A corrupt layer count must not size an allocation: `u32::MAX`
+    /// layers used to be reserved up front.
+    #[test]
+    fn huge_layer_count_fails_without_reserving_for_it() {
+        let bytes = to_bytes(&Sequential::mlp(2, &[4], 3, 1));
+        assert_eq!(
+            from_bytes(&patch_header(&bytes, 16, u32::MAX)).unwrap_err(),
+            ModelCodecError::Corrupt("truncated layer tag")
+        );
+    }
+
+    /// Embedding dimensions whose product overflows are corrupt, not an
+    /// arithmetic overflow (a panic in debug builds).
+    #[test]
+    fn rejects_embedding_dimensions_whose_product_overflows() {
+        let mut bytes = to_bytes(&Sequential::embedding_mlp(2, 4, 2, 4, 3, 1)).to_vec();
+        // The embedding's dims follow the header (20 bytes) and its tag.
+        for at in [21, 25, 29] {
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        assert_eq!(
+            from_bytes(&bytes).unwrap_err(),
+            ModelCodecError::Corrupt("embedding size mismatch")
+        );
+    }
+
+    /// Regression: dense layers whose widths do not chain are
+    /// corrupt even when each layer's own buffers are consistent.
+    #[test]
+    fn rejects_dense_layers_that_do_not_chain() {
+        let dense = |din: usize, dout: usize| {
+            Layer::Dense(Dense::from_params(
+                din,
+                dout,
+                Param::new(vec![0.5; din * dout]),
+                Param::new(vec![0.0; dout]),
+            ))
+        };
+        let chained = Sequential::from_layers(vec![dense(2, 4), dense(4, 3)], 2, 3);
+        assert!(from_bytes(&to_bytes(&chained)).is_ok());
+        let broken = Sequential::from_layers(vec![dense(2, 4), dense(5, 3)], 2, 3);
+        assert_eq!(
+            from_bytes(&to_bytes(&broken)).unwrap_err(),
+            ModelCodecError::Corrupt("layer dimensions do not chain")
+        );
+    }
+
     #[test]
     fn state_roundtrip_restores_moments() {
         use crate::optim::Optimizer;
@@ -349,6 +452,30 @@ mod tests {
             back, net,
             "values + state must reproduce the network exactly"
         );
+    }
+
+    /// Decoded parameters carry values only, and training a decoded
+    /// network is bit-identical to training the network it was encoded
+    /// from, optimizer state blob included.
+    #[test]
+    fn decoded_networks_allocate_training_buffers_on_first_use() {
+        use crate::optim::Optimizer;
+        let mut fresh = Sequential::embedding_mlp(3, 8, 4, 16, 5, 9);
+        let mut decoded = from_bytes(&to_bytes(&fresh)).unwrap();
+        assert!(decoded.params().iter().all(|p| p.grad.is_empty()));
+        assert_eq!(state_to_bytes(&decoded), state_to_bytes(&fresh));
+        let x = Matrix::from_rows(&[&[1.0, 7.0, 3.0], &[0.0, 2.0, 5.0]]);
+        let (mut opt_a, mut opt_b) = (Optimizer::adam(1e-2), Optimizer::adam(1e-2));
+        for _ in 0..3 {
+            let y = fresh.forward(&x, true);
+            fresh.backward(&y);
+            opt_a.step(fresh.params_mut());
+            let y = decoded.forward(&x, true);
+            decoded.backward(&y);
+            opt_b.step(decoded.params_mut());
+        }
+        assert_eq!(decoded, fresh);
+        assert_eq!(state_to_bytes(&decoded), state_to_bytes(&fresh));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use airchitect::model::{AirchitectConfig, AirchitectModel, CaseStudy};
 use airchitect::persist;
+use airchitect_data::integrity::{append_crc_footer, split_crc_footer};
 use airchitect_data::Dataset;
 use airchitect_nn::train::TrainConfig;
 use airchitect_serve::client::HttpClient;
@@ -238,6 +239,46 @@ fn reload_bumps_the_generation_and_invalidates_the_cache() {
     assert!(again.body.starts_with("{\"cached\":true,"), "{}", again.body);
 
     shutdown(client, handle);
+}
+
+/// Regression: a reload of a CRC-valid model whose network
+/// header disagrees with its quantizer (one input too many) used to panic
+/// on the shard that ran it. It must answer non-200, keep the old model
+/// serving, and leave the connection usable.
+#[test]
+fn reload_of_an_inconsistent_header_fails_and_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!(
+        "airchitect-serve-bad-header-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cs1.airm");
+    std::fs::copy(model_file(CaseStudy::ArrayDataflow), &path).unwrap();
+    let (addr, handle) = start(default_config(vec![path.clone()]));
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let before = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    assert_eq!(before.status, 200, "{}", before.body);
+
+    // The network header's `in_dim` (8 bytes into the AINN blob) becomes
+    // 5; the footer is recomputed so only the structural checks can tell.
+    let bytes = std::fs::read(&path).unwrap();
+    let (body, _) = split_crc_footer(&bytes).unwrap();
+    let mut body = body.to_vec();
+    let at = body.windows(4).position(|w| w == b"AINN").unwrap() + 8;
+    body[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+    append_crc_footer(&mut body);
+    std::fs::write(&path, &body).unwrap();
+
+    let reload = client.post("/v1/reload", "").unwrap();
+    assert_ne!(reload.status, 200, "{}", reload.body);
+    let after = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    assert_eq!(after.status, 200, "{}", after.body);
+    assert!(after.body.contains("\"generation\":1"), "{}", after.body);
+    let health = client.get("/healthz").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -96,6 +96,33 @@ impl Args {
         }
     }
 
+    /// `--threads`, at least 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] if unparsable or zero.
+    pub fn threads(&self, default: u64) -> Result<usize, CliError> {
+        match self.u64_or("threads", default)? {
+            0 => Err(CliError::Usage("`--threads` must be at least 1".into())),
+            threads => Ok(threads as usize),
+        }
+    }
+
+    /// `--budget-log2`, the log2 of a MAC budget: at least `min` (2 admits
+    /// the smallest array, 2×2) and at most 63, the largest `u64` power.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] if unparsable or out of range.
+    pub fn budget_log2(&self, default: u32, min: u32) -> Result<u32, CliError> {
+        match self.u64_or("budget-log2", default.into())? {
+            log2 if (u64::from(min)..=63).contains(&log2) => Ok(log2 as u32),
+            log2 => Err(CliError::Usage(format!(
+                "`--budget-log2` must be in {min}..=63 (got {log2})"
+            ))),
+        }
+    }
+
     /// Whether a bare flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -174,6 +201,22 @@ mod tests {
         assert!(a.required_u64("m").is_ok());
         let a = Args::parse(&argv(&["--m", "abc"])).unwrap();
         assert!(a.required_u64("m").is_err());
+    }
+
+    #[test]
+    fn threads_and_budgets_are_range_checked() {
+        let a = Args::parse(&argv(&["--threads", "0", "--budget-log2", "64"])).unwrap();
+        assert!(a.threads(1).is_err());
+        assert!(a.budget_log2(15, 2).is_err());
+        let a = Args::parse(&argv(&["--threads", "3", "--budget-log2", "4"])).unwrap();
+        assert_eq!(a.threads(1).unwrap(), 3);
+        assert_eq!(a.budget_log2(15, 2).unwrap(), 4);
+        assert!(a.budget_log2(15, 5).is_err());
+        let a = Args::parse(&argv(&[])).unwrap();
+        assert_eq!(
+            (a.threads(4).unwrap(), a.budget_log2(18, 2).unwrap()),
+            (4, 18)
+        );
     }
 
     #[test]

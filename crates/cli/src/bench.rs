@@ -70,10 +70,7 @@ pub fn bench(argv: &[String]) -> Result<(), CliError> {
 
 fn bench_inner(args: &Args) -> Result<(), CliError> {
     let out_dir = args.optional("out-dir").unwrap_or(".").to_string();
-    let threads = args.u64_or("threads", 4)? as usize;
-    if threads == 0 {
-        return Err(CliError::Usage("`--threads` must be at least 1".into()));
-    }
+    let threads = args.threads(4)?;
     let quick = args.flag("quick");
     let samples = args.u64_or("samples", if quick { 1024 } else { 8192 })? as usize;
     let epochs = args.u64_or("epochs", if quick { 1 } else { 3 })? as usize;

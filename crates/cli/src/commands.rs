@@ -6,10 +6,10 @@ use airchitect::persist::PersistError;
 use airchitect::pipeline::{self, CheckpointConfig, PipelineError};
 use airchitect::{persist, Recommender};
 use airchitect_data::{codec, DataError};
-use airchitect_dse::case1::{self, Case1Problem};
-use airchitect_dse::case2::{self, Case2Problem, Case2Query};
-use airchitect_dse::case3::{self, Case3Problem};
-use airchitect_dse::parallel::{self, ParallelError};
+use airchitect_dse::case1::{Case1DatasetSpec, Case1Problem};
+use airchitect_dse::case2::{Case2DatasetSpec, Case2Problem, Case2Query};
+use airchitect_dse::case3::{Case3DatasetSpec, Case3Problem};
+use airchitect_dse::parallel::{self, ParallelError, Step};
 use airchitect_dse::search_algos::SearchStrategy;
 use airchitect_dse::space::{Case1Space, Case2Space, Case3Space};
 use airchitect_nn::optim::Optimizer;
@@ -189,6 +189,37 @@ fn parse_dataflow(args: &Args) -> Result<Dataflow, CliError> {
     }
 }
 
+/// The GEMM of `--m --n --k`.
+fn parse_gemm(args: &Args) -> Result<GemmWorkload, CliError> {
+    let dim = |key| args.required_u64(key);
+    GemmWorkload::new(dim("m")?, dim("n")?, dim("k")?).map_err(run_err)
+}
+
+/// The CS2 query of `--m --n --k --rows --cols` and the optional
+/// `--dataflow`, `--bandwidth` and `--limit-kb`.
+fn parse_case2_query(args: &Args) -> Result<Case2Query, CliError> {
+    Ok(Case2Query {
+        workload: parse_gemm(args)?,
+        array: ArrayConfig::new(args.required_u64("rows")?, args.required_u64("cols")?)
+            .map_err(run_err)?,
+        dataflow: parse_dataflow(args)?,
+        bandwidth: args.u64_or("bandwidth", 16)?,
+        limit_kb: args.u64_or("limit-kb", 1500)?,
+    })
+}
+
+/// The four CS3 workloads of `--workloads M,N,K;...`.
+fn parse_case3_workloads(args: &Args) -> Result<Vec<GemmWorkload>, CliError> {
+    let triples = parse_workloads(args.required("workloads")?)?;
+    if triples.len() != 4 {
+        return Err(CliError::Usage("case 3 needs exactly 4 workloads".into()));
+    }
+    triples
+        .iter()
+        .map(|&(m, n, k)| GemmWorkload::new(m, n, k).map_err(run_err))
+        .collect()
+}
+
 fn parse_case(args: &Args) -> Result<CaseStudy, CliError> {
     match args.required("case")? {
         "1" => Ok(CaseStudy::ArrayDataflow),
@@ -217,12 +248,7 @@ pub fn simulate(argv: &[String]) -> Result<(), CliError> {
         "verify",
         "trace",
     ])?;
-    let wl = GemmWorkload::new(
-        args.required_u64("m")?,
-        args.required_u64("n")?,
-        args.required_u64("k")?,
-    )
-    .map_err(run_err)?;
+    let wl = parse_gemm(&args)?;
     let array = ArrayConfig::new(args.required_u64("rows")?, args.required_u64("cols")?)
         .map_err(run_err)?;
     let dataflow = parse_dataflow(&args)?;
@@ -317,13 +343,8 @@ pub fn search(argv: &[String]) -> Result<(), CliError> {
     match args.required("case")? {
         "1" => {
             args.expect_only(&["case", "m", "n", "k", "budget-log2", "method"])?;
-            let wl = GemmWorkload::new(
-                args.required_u64("m")?,
-                args.required_u64("n")?,
-                args.required_u64("k")?,
-            )
-            .map_err(run_err)?;
-            let budget_log2 = args.u64_or("budget-log2", 18)? as u32;
+            let wl = parse_gemm(&args)?;
+            let budget_log2 = args.budget_log2(18, 2)?;
             let problem = Case1Problem::new(1u64 << budget_log2);
             let t0 = std::time::Instant::now();
             let r = match args.optional("method").unwrap_or("exhaustive") {
@@ -371,19 +392,7 @@ pub fn search(argv: &[String]) -> Result<(), CliError> {
                 "bandwidth",
                 "limit-kb",
             ])?;
-            let query = Case2Query {
-                workload: GemmWorkload::new(
-                    args.required_u64("m")?,
-                    args.required_u64("n")?,
-                    args.required_u64("k")?,
-                )
-                .map_err(run_err)?,
-                array: ArrayConfig::new(args.required_u64("rows")?, args.required_u64("cols")?)
-                    .map_err(run_err)?,
-                dataflow: parse_dataflow(&args)?,
-                bandwidth: args.u64_or("bandwidth", 16)?,
-                limit_kb: args.u64_or("limit-kb", 1500)?,
-            };
+            let query = parse_case2_query(&args)?;
             let problem = Case2Problem::new();
             let r = problem.search(&query);
             let (i, f, o) = problem.space().decode(r.label).expect("label in space");
@@ -394,14 +403,7 @@ pub fn search(argv: &[String]) -> Result<(), CliError> {
         }
         "3" => {
             args.expect_only(&["case", "workloads"])?;
-            let triples = parse_workloads(args.required("workloads")?)?;
-            if triples.len() != 4 {
-                return Err(CliError::Usage("case 3 needs exactly 4 workloads".into()));
-            }
-            let workloads: Vec<GemmWorkload> = triples
-                .iter()
-                .map(|&(m, n, k)| GemmWorkload::new(m, n, k).map_err(run_err))
-                .collect::<Result<_, _>>()?;
+            let workloads = parse_case3_workloads(&args)?;
             let problem = Case3Problem::new();
             let r = problem.search(&workloads);
             let (perm, dfs) = problem.space().decode(r.label).expect("label in space");
@@ -430,7 +432,7 @@ pub fn search(argv: &[String]) -> Result<(), CliError> {
 pub fn spaces(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     args.expect_only(&["budget-log2"])?;
-    let budget_log2 = args.u64_or("budget-log2", 18)? as u32;
+    let budget_log2 = args.budget_log2(18, 2)?;
     let s1 = Case1Space::new(1u64 << budget_log2);
     let s2 = Case2Space::paper();
     let s3 = Case3Space::paper();
@@ -464,74 +466,51 @@ fn generate_inner(args: &Args) -> Result<(), CliError> {
     let samples = args.required_u64("samples")? as usize;
     let out = args.required("out")?;
     let seed = args.u64_or("seed", 0)?;
-    let threads = args.u64_or("threads", 1)? as usize;
-    let checkpoint = checkpoint_args(args)?;
-    if case != CaseStudy::ArrayDataflow && (threads != 1 || checkpoint.is_some()) {
-        return Err(CliError::Usage(
-            "`--threads`, `--checkpoint-dir`, and `--resume` are only supported for case 1".into(),
-        ));
-    }
+    let threads = args.threads(1)?;
+    // `--checkpoint-dir` and `--resume` differ only in intent: checkpointed
+    // generation always reuses intact shards (the spec manifest catches
+    // directory misuse).
+    let dir = checkpoint_args(args)?.map(|(dir, _)| dir);
     let t0 = std::time::Instant::now();
     let mut datagen_span = airchitect_telemetry::span::Span::enter("pipeline.datagen");
     datagen_span.field_u64("samples", samples as u64);
-    datagen_span.field_str(
-        "case",
-        match case {
-            CaseStudy::ArrayDataflow => "cs1",
-            CaseStudy::BufferSizing => "cs2",
-            CaseStudy::MultiArrayScheduling => "cs3",
-        },
-    );
-    let (ds, resumed_shards) = match case {
+    let run_step = |step: &dyn Step| {
+        let checkpoint = dir.as_deref().map(std::path::Path::new);
+        parallel::generate(step, samples, seed, threads, checkpoint)
+    };
+    let run = match case {
         CaseStudy::ArrayDataflow => {
-            let budget_log2 = args.u64_or("budget-log2", 15)? as u32;
-            let problem = Case1Problem::new(1u64 << budget_log2);
-            let spec = case1::Case1DatasetSpec {
+            datagen_span.field_str("case", "cs1");
+            let budget_log2 = args.budget_log2(15, 5)?;
+            let spec = Case1DatasetSpec {
                 samples,
                 budget_log2_range: (5, budget_log2),
                 seed,
             };
-            match &checkpoint {
-                Some((dir, _)) => {
-                    // Checkpointed generation always reuses intact shards;
-                    // `--resume` and `--checkpoint-dir` differ only in
-                    // intent (the spec manifest catches directory misuse).
-                    let run = parallel::generate_case1_checkpointed(&problem, &spec, threads, dir)
-                        .map_err(|e| match e {
-                            ParallelError::Data(de) => data_err(dir)(de),
-                            other => run_err(other),
-                        })?;
-                    let resumed = run.shards.iter().filter(|s| s.resumed).count();
-                    (run.dataset, resumed)
-                }
-                None if threads > 1 => (
-                    parallel::generate_case1_parallel(&problem, &spec, threads).map_err(run_err)?,
-                    0,
-                ),
-                None => (case1::generate_dataset(&problem, &spec), 0),
-            }
+            run_step(&(&Case1Problem::new(1u64 << budget_log2), &spec))
         }
-        CaseStudy::BufferSizing => (
-            case2::generate_dataset(
-                &Case2Problem::new(),
-                &case2::Case2DatasetSpec {
-                    samples,
-                    seed,
-                    ..Default::default()
-                },
-            ),
-            0,
-        ),
-        CaseStudy::MultiArrayScheduling => (
-            case3::generate_dataset(
-                &Case3Problem::new(),
-                &case3::Case3DatasetSpec { samples, seed },
-            ),
-            0,
-        ),
-    };
+        CaseStudy::BufferSizing => {
+            datagen_span.field_str("case", "cs2");
+            let spec = Case2DatasetSpec {
+                samples,
+                seed,
+                ..Default::default()
+            };
+            run_step(&(&Case2Problem::new(), &spec))
+        }
+        CaseStudy::MultiArrayScheduling => {
+            datagen_span.field_str("case", "cs3");
+            run_step(&(&Case3Problem::new(), &Case3DatasetSpec { samples, seed }))
+        }
+    }
+    .map_err(|e| match e {
+        ParallelError::Data(de) => data_err(dir.as_deref().unwrap_or(out))(de),
+        other => run_err(other),
+    })?;
     drop(datagen_span);
-    codec::save(&ds, out).map_err(data_err(out))?;
+    let ds = &run.dataset;
+    codec::save(ds, out).map_err(data_err(out))?;
+    let resumed_shards = run.shards.iter().filter(|s| s.resumed).count();
     if resumed_shards > 0 {
         println!("resumed: reused {resumed_shards} checkpointed shard(s)");
     }
@@ -611,10 +590,7 @@ fn train_from_log(args: &Args) -> Result<(), CliError> {
         }
         _ => {}
     }
-    let threads = args.u64_or("threads", 1)? as usize;
-    if threads == 0 {
-        return Err(CliError::Usage("`--threads` must be at least 1".into()));
-    }
+    let threads = args.threads(1)?;
     let lr = match args.optional("lr") {
         None => 1e-4f32,
         Some(raw) => {
@@ -730,10 +706,7 @@ fn emit_artifact(
 /// pipeline sized for seconds. No dataset file is needed, and a traced run
 /// exercises every span kind (datagen, epochs, checkpoint saves, eval).
 fn train_quick(args: &Args) -> Result<(), CliError> {
-    let threads = args.u64_or("threads", 1)? as usize;
-    if threads == 0 {
-        return Err(CliError::Usage("`--threads` must be at least 1".into()));
-    }
+    let threads = args.threads(1)?;
     if args.optional("data").is_some() {
         return Err(CliError::Usage(
             "`--quick` generates its own data; drop `--data`".into(),
@@ -791,10 +764,7 @@ fn train_inner(args: &Args) -> Result<(), CliError> {
         return Err(CliError::Usage("`--samples` needs `--quick`".into()));
     }
     let case = parse_case(args)?;
-    let threads = args.u64_or("threads", 1)? as usize;
-    if threads == 0 {
-        return Err(CliError::Usage("`--threads` must be at least 1".into()));
-    }
+    let threads = args.threads(1)?;
     let data_path = args.required("data")?;
     let ds = codec::load(data_path).map_err(data_err(data_path))?;
     if ds.feature_dim() != case.input_dim() {
@@ -892,10 +862,7 @@ pub fn evaluate(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn evaluate_inner(args: &Args) -> Result<(), CliError> {
-    let threads = args.u64_or("threads", 1)? as usize;
-    if threads == 0 {
-        return Err(CliError::Usage("`--threads` must be at least 1".into()));
-    }
+    let threads = args.threads(1)?;
     airchitect_tensor::gemm::set_num_threads(threads);
     let model_path = args.required("model")?;
     let model = persist::load(model_path).map_err(persist_err(model_path))?;
@@ -1004,13 +971,8 @@ pub fn recommend(argv: &[String]) -> Result<(), CliError> {
     match case {
         CaseStudy::ArrayDataflow => {
             args.expect_only(&["model", "m", "n", "k", "budget-log2"])?;
-            let wl = GemmWorkload::new(
-                args.required_u64("m")?,
-                args.required_u64("n")?,
-                args.required_u64("k")?,
-            )
-            .map_err(run_err)?;
-            let budget_log2 = args.u64_or("budget-log2", 15)? as u32;
+            let wl = parse_gemm(&args)?;
+            let budget_log2 = args.budget_log2(15, 2)?;
             // Labels are only meaningful in the training-time space; rebuild
             // it from the model's class count.
             let classes = recommender.model().network().out_dim();
@@ -1041,19 +1003,7 @@ pub fn recommend(argv: &[String]) -> Result<(), CliError> {
                 "bandwidth",
                 "limit-kb",
             ])?;
-            let query = Case2Query {
-                workload: GemmWorkload::new(
-                    args.required_u64("m")?,
-                    args.required_u64("n")?,
-                    args.required_u64("k")?,
-                )
-                .map_err(run_err)?,
-                array: ArrayConfig::new(args.required_u64("rows")?, args.required_u64("cols")?)
-                    .map_err(run_err)?,
-                dataflow: parse_dataflow(&args)?,
-                bandwidth: args.u64_or("bandwidth", 16)?,
-                limit_kb: args.u64_or("limit-kb", 1500)?,
-            };
+            let query = parse_case2_query(&args)?;
             let problem = Case2Problem::new();
             let (i, f, o) = recommender
                 .recommend_buffers(&problem, &query)
@@ -1062,14 +1012,7 @@ pub fn recommend(argv: &[String]) -> Result<(), CliError> {
         }
         CaseStudy::MultiArrayScheduling => {
             args.expect_only(&["model", "workloads"])?;
-            let triples = parse_workloads(args.required("workloads")?)?;
-            if triples.len() != 4 {
-                return Err(CliError::Usage("case 3 needs exactly 4 workloads".into()));
-            }
-            let workloads: Vec<GemmWorkload> = triples
-                .iter()
-                .map(|&(m, n, k)| GemmWorkload::new(m, n, k).map_err(run_err))
-                .collect::<Result<_, _>>()?;
+            let workloads = parse_case3_workloads(&args)?;
             let problem = Case3Problem::new();
             let schedule = recommender
                 .recommend_schedule(&problem, &workloads)

@@ -140,13 +140,13 @@ COMMANDS:
   spaces     [--budget-log2 B]
              Print the three quantized output spaces and their sizes.
 
-  generate   --case 1|2|3 --samples N --out data.aids [--seed S]
-             [--threads T] [--checkpoint-dir DIR | --resume DIR]
-             Generate a labeled dataset with the conventional search flow.
-             With --threads, case-1 generation fans out over T panic-isolated
-             workers. With --checkpoint-dir, every finished shard is persisted
-             so a killed run loses at most one shard of work; --resume DIR
-             reuses the intact shards and regenerates the rest (case 1 only).
+  generate   --case 1|2|3 --samples N --out data.aids [--seed S] [--threads T]
+             [--budget-log2 B] [--checkpoint-dir DIR | --resume DIR]
+             Generate a labeled dataset with the conventional search flow, on
+             T panic-isolated shards, one thread each (the bytes depend on
+             the seed and T only). --checkpoint-dir persists finished shards;
+             --resume DIR reuses the intact ones and regenerates the rest, to
+             the same bytes. Case 1 samples budgets 2^5..=2^B (B <= 63).
 
   train      --case 1|2|3 --data data.aids --out model.airm
              [--epochs E] [--batch B] [--seed S] [--threads T]
@@ -210,8 +210,6 @@ COMMANDS:
              --fallback search answers from exhaustive DSE search (stamped
              "source":"search" + a Warning header) when a circuit is open or
              a model failed to load, instead of 5xx.
-             --nodelay sets TCP_NODELAY on accepted sockets (also via
-             AIRCHITECT_SERVE_NODELAY=1).
              --shadow-oracle RATE --shadow-log-dir DIR
              [--shadow-queue-depth D] [--shadow-threads T]
              samples RATE (0..=1, deterministic per query) of admitted

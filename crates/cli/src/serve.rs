@@ -40,7 +40,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         "fallback",
         "no-bypass",
         "event-loops",
-        "nodelay",
         "shadow-oracle",
         "shadow-log-dir",
         "shadow-queue-depth",
@@ -193,7 +192,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         fallback_search,
         single_query_bypass: !args.flag("no-bypass"),
         event_loops: args.u64_or("event-loops", 0)? as usize,
-        nodelay: args.flag("nodelay") || ServeConfig::default().nodelay,
         shadow_rate,
         shadow_dir: args.optional("shadow-log-dir").map(PathBuf::from),
         shadow_queue_depth: args.u64_or("shadow-queue-depth", 64)? as usize,

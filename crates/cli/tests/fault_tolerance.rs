@@ -84,6 +84,69 @@ fn usage_errors_exit_with_code_2() {
             "--bogus",
             "1",
         ],
+        // Budgets below the smallest array (2×2), below generation's
+        // 2^5 floor, or past `u64`.
+        vec![
+            "generate",
+            "--case",
+            "1",
+            "--samples",
+            "5",
+            "--out",
+            "/tmp/x.aids",
+            "--budget-log2",
+            "3",
+        ],
+        vec![
+            "generate",
+            "--case",
+            "1",
+            "--samples",
+            "5",
+            "--out",
+            "/tmp/x.aids",
+            "--budget-log2",
+            "64",
+        ],
+        vec![
+            "search",
+            "--case",
+            "1",
+            "--m",
+            "64",
+            "--n",
+            "64",
+            "--k",
+            "64",
+            "--budget-log2",
+            "1",
+        ],
+        vec![
+            "search",
+            "--case",
+            "1",
+            "--m",
+            "64",
+            "--n",
+            "64",
+            "--k",
+            "64",
+            "--budget-log2",
+            "64",
+        ],
+        vec!["spaces", "--budget-log2", "200"],
+        // Zero threads, with and without a checkpoint directory.
+        vec![
+            "generate",
+            "--case",
+            "1",
+            "--samples",
+            "5",
+            "--out",
+            "/tmp/x.aids",
+            "--threads",
+            "0",
+        ],
         vec![
             "generate",
             "--case",
@@ -93,8 +156,22 @@ fn usage_errors_exit_with_code_2() {
             "--out",
             "/tmp/x.aids",
             "--threads",
-            "4",
+            "0",
+            "--checkpoint-dir",
+            "/tmp/x-ckpt",
         ],
+        vec![
+            "train",
+            "--case",
+            "1",
+            "--data",
+            "/tmp/x.aids",
+            "--out",
+            "/tmp/x.airm",
+            "--threads",
+            "0",
+        ],
+        vec!["serve", "--model", "/tmp/x.airm", "--nodelay"],
     ] {
         let out = airchitect(&args);
         assert_eq!(
@@ -208,49 +285,50 @@ fn corrupt_artifacts_exit_with_code_4_and_never_panic() {
 #[test]
 fn checkpointed_generate_resumes_to_identical_bytes() {
     let dir = temp_dir("gen-resume");
-    let ckpt = dir.join("ckpt");
-    let first = dir.join("first.aids");
-    let second = dir.join("second.aids");
-    let base = [
-        "generate",
-        "--case",
-        "1",
-        "--samples",
-        "40",
-        "--budget-log2",
-        "8",
-        "--seed",
-        "3",
-        "--threads",
-        "4",
-    ];
+    for (case, extra) in [("1", &["--budget-log2", "8"][..]), ("2", &[]), ("3", &[])] {
+        let ckpt = dir.join(format!("ckpt{case}"));
+        let first = dir.join(format!("first{case}.aids"));
+        let second = dir.join(format!("second{case}.aids"));
+        let mut base = vec![
+            "generate",
+            "--case",
+            case,
+            "--samples",
+            "40",
+            "--seed",
+            "3",
+            "--threads",
+            "4",
+        ];
+        base.extend_from_slice(extra);
 
-    let mut args: Vec<&str> = base.to_vec();
-    let ckpt_s = ckpt.to_str().unwrap().to_string();
-    let first_s = first.to_str().unwrap().to_string();
-    args.extend_from_slice(&["--checkpoint-dir", &ckpt_s, "--out", &first_s]);
-    let out = airchitect(&args);
-    assert!(out.status.success(), "{}", stderr(&out));
+        let mut args = base.clone();
+        let ckpt_s = ckpt.to_str().unwrap().to_string();
+        let first_s = first.to_str().unwrap().to_string();
+        args.extend_from_slice(&["--checkpoint-dir", &ckpt_s, "--out", &first_s]);
+        let out = airchitect(&args);
+        assert!(out.status.success(), "case {case}: {}", stderr(&out));
 
-    // Simulate a crash that lost one shard and the final output.
-    std::fs::remove_file(ckpt.join("shard-0002.aids")).unwrap();
+        // Simulate a crash that lost one shard and the final output.
+        std::fs::remove_file(ckpt.join("shard-0002.aids")).unwrap();
 
-    let mut args: Vec<&str> = base.to_vec();
-    let second_s = second.to_str().unwrap().to_string();
-    args.extend_from_slice(&["--resume", &ckpt_s, "--out", &second_s]);
-    let out = airchitect(&args);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(
-        stdout(&out).contains("reused 3 checkpointed shard(s)"),
-        "{}",
-        stdout(&out)
-    );
+        let mut args = base.clone();
+        let second_s = second.to_str().unwrap().to_string();
+        args.extend_from_slice(&["--resume", &ckpt_s, "--out", &second_s]);
+        let out = airchitect(&args);
+        assert!(out.status.success(), "case {case}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("reused 3 checkpointed shard(s)"),
+            "case {case}: {}",
+            stdout(&out)
+        );
 
-    assert_eq!(
-        std::fs::read(&first).unwrap(),
-        std::fs::read(&second).unwrap(),
-        "resumed generation must be byte-identical"
-    );
+        assert_eq!(
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap(),
+            "case {case}: resumed generation must be byte-identical"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -303,6 +303,10 @@ mod tests {
     use airchitect_data::Dataset;
     use airchitect_nn::train::TrainConfig;
 
+    /// Serializes every test that saves or loads a file: the `persist.*`
+    /// failpoints the chaos tests arm are process-global.
+    static CHAOS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn small_trained_model() -> AirchitectModel {
         let mut ds = Dataset::new(4, 3).unwrap();
         for i in 0..120 {
@@ -446,10 +450,6 @@ mod tests {
     mod chaos {
         use super::*;
 
-        /// Serializes the chaos-dependent tests: the failpoint registry is
-        /// process-global.
-        static CHAOS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
         fn saved_model(name: &str) -> std::path::PathBuf {
             let dir = std::env::temp_dir().join("airchitect-core-chaos");
             std::fs::create_dir_all(&dir).unwrap();
@@ -515,6 +515,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
+        let _guard = CHAOS.lock().unwrap();
         let dir = std::env::temp_dir().join("airchitect-core-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.airm");

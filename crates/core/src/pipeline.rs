@@ -277,26 +277,22 @@ pub fn run_case1(config: &PipelineConfig, budget_log2_range: (u32, u32)) -> Case
 
 /// Runs the case-study-1 pipeline with crash-safe checkpointing.
 ///
-/// Dataset generation persists every completed shard under
-/// `ckpt.dir/generation`, and training snapshots the model + optimizer
-/// state into `ckpt.dir/checkpoint.airc` every
+/// Generation runs `samples / every_samples` shards (rounded up), one
+/// thread each, and persists each under `ckpt.dir/generation`; at one
+/// shard the dataset is [`run_case1`]'s. Training snapshots the model +
+/// optimizer state into `ckpt.dir/checkpoint.airc` every
 /// [`CheckpointConfig::every_epochs`] epochs. With `resume` set, an
 /// existing matching checkpoint is picked up and the run finishes
 /// bit-identical to an uninterrupted one; without it (or when no
 /// checkpoint exists yet) training starts fresh, though intact generation
 /// shards are still reused.
 ///
-/// Generation runs on one worker thread per shard
-/// (`samples / every_samples` shards), so the dataset differs from
-/// [`run_case1`]'s sequential stream for the same seed — pick one entry
-/// point per experiment.
-///
 /// # Errors
 ///
-/// [`PipelineError::Generation`] when a shard fails every retry or the
-/// directory was checkpointed with a different spec,
+/// [`PipelineError::Generation`] for a bad budget range, a shard that
+/// fails every retry or a directory checkpointed with another spec;
 /// [`PipelineError::Checkpoint`] when `resume` finds a damaged or
-/// mismatched training checkpoint, and [`PipelineError::Diverged`] — with
+/// mismatched training checkpoint; and [`PipelineError::Diverged`] — with
 /// the last good checkpoint path — when training blows up.
 pub fn run_case1_checkpointed(
     config: &PipelineConfig,
@@ -336,9 +332,9 @@ fn run_case1_checkpointed_impl(
         span.field_u64("samples", config.samples as u64);
         span.field_u64("shards", shards as u64);
         span.field_str("case", "cs1");
-        parallel::generate_case1_checkpointed(&problem, &spec, shards, ckpt.dir.join("generation"))?
+        let (step, dir) = ((&problem, &spec), ckpt.dir.join("generation"));
+        parallel::generate(&step, config.samples, config.seed, shards, Some(&dir))?
     };
-    let classes = problem.space().len() as u32;
 
     let split = if config.stratify {
         split::stratified(&generated.dataset, 0.8, 0.1, 0.1, config.seed)
@@ -354,7 +350,7 @@ fn run_case1_checkpointed_impl(
     let fresh = AirchitectModel::new(
         CaseStudy::ArrayDataflow,
         &AirchitectConfig {
-            num_classes: classes,
+            num_classes: problem.space().len() as u32,
             train: tc,
             seed: config.seed,
             ..Default::default()

@@ -11,8 +11,9 @@ use airchitect_sim::{compute, Dataflow};
 use airchitect_workload::distribution::CnnWorkloadSampler;
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
+use crate::parallel::{self, ParallelError, Step};
 use crate::space::Case1Space;
 use crate::SearchResult;
 
@@ -148,28 +149,47 @@ impl Default for Case1DatasetSpec {
     }
 }
 
+/// The CS1 labelling step: a CNN-layer GEMM and a MAC budget drawn
+/// log-uniformly from `budget_log2_range`, which must satisfy
+/// `2 <= lo <= hi <= 63` (a budget below 2^2 admits no shape, and 2^63 is
+/// the largest `u64` power of two), labeled by [`Case1Problem::search`].
+impl Step for (&Case1Problem, &Case1DatasetSpec) {
+    fn check(&self) -> Result<(), ParallelError> {
+        let (lo, hi) = self.1.budget_log2_range;
+        parallel::check_range("budget_log2", (lo.into(), hi.into()), 2, 63)
+    }
+
+    fn schema(&self) -> (usize, u32) {
+        (4, self.0.space().len() as u32)
+    }
+
+    fn describe(&self) -> String {
+        format!("case 1\n{:?}", self.1)
+    }
+
+    fn label_one(&self, sampler: &CnnWorkloadSampler, rng: &mut StdRng, out: &mut Dataset) {
+        let (lo, hi) = self.1.budget_log2_range;
+        let wl = sampler.sample(rng);
+        let budget = 1u64 << rng.random_range(lo..=hi);
+        let result = self.0.search(&wl, budget);
+        out.push(&Case1Problem::features(&wl, budget), result.label)
+            .expect("search labels are within the space");
+    }
+}
+
 /// Generates a labeled dataset by running the exhaustive search on sampled
 /// workloads (paper Sec. IV-B, "the optimal parameter label is determined by
-/// conventional search using simulations").
+/// conventional search using simulations"): one shard of
+/// [`parallel::generate`], run on the calling thread.
 ///
 /// Features are the raw integers of [`Case1Problem::features`]; quantization
 /// and normalization happen downstream in the model front-ends.
+///
+/// # Panics
+///
+/// Panics if the budget range is invalid.
 pub fn generate_dataset(problem: &Case1Problem, spec: &Case1DatasetSpec) -> Dataset {
-    let sampler = CnnWorkloadSampler::new();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut ds = Dataset::new(4, problem.space().len() as u32)
-        .expect("space is non-empty and feature dim is 4");
-    let (lo, hi) = spec.budget_log2_range;
-    assert!(lo >= 2, "budgets below 2^2 admit no shapes");
-    assert!(hi >= lo, "budget range is inverted");
-    for _ in 0..spec.samples {
-        let wl = sampler.sample(&mut rng);
-        let budget = 1u64 << rng.random_range(lo..=hi);
-        let result = problem.search(&wl, budget);
-        ds.push(&Case1Problem::features(&wl, budget), result.label)
-            .expect("search labels are within the space");
-    }
-    ds
+    parallel::generate_here(&(problem, spec), spec.samples, spec.seed)
 }
 
 /// Per-dataflow frequency table of optimal shapes (paper Fig. 5a-c): for

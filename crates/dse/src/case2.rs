@@ -12,8 +12,9 @@ use airchitect_sim::{ArrayConfig, Dataflow};
 use airchitect_workload::distribution::CnnWorkloadSampler;
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
+use crate::parallel::{self, ParallelError, Step};
 use crate::space::Case2Space;
 use crate::SearchResult;
 
@@ -220,16 +221,31 @@ impl Default for Case2DatasetSpec {
     }
 }
 
-/// Generates a labeled dataset of buffer-sizing optima.
-pub fn generate_dataset(problem: &Case2Problem, spec: &Case2DatasetSpec) -> Dataset {
-    let sampler = CnnWorkloadSampler::new();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut ds = Dataset::new(8, problem.space().len() as u32)
-        .expect("space is non-empty and feature dim is 8");
-    let (dlo, dhi) = spec.dim_log2_range;
-    assert!(dhi >= dlo, "dim range is inverted");
-    for _ in 0..spec.samples {
-        let workload = sampler.sample(&mut rng);
+/// The CS2 labelling step: a CNN-layer GEMM on a random power-of-two
+/// array, dataflow, bandwidth and capacity limit, labeled by
+/// [`Case2Problem::search`]. Ranges must not be inverted, `log2(array dim)`
+/// must stay at most 31 (rows · cols fits the simulator's `u64`s) and
+/// bandwidth at least 1 byte/cycle.
+impl Step for (&Case2Problem, &Case2DatasetSpec) {
+    fn check(&self) -> Result<(), ParallelError> {
+        let (dlo, dhi) = self.1.dim_log2_range;
+        parallel::check_range("dim_log2", (dlo.into(), dhi.into()), 0, 31)?;
+        parallel::check_range("bandwidth", self.1.bandwidth_range, 1, u64::MAX)?;
+        parallel::check_range("limit_kb", self.1.limit_kb_range, 0, u64::MAX)
+    }
+
+    fn schema(&self) -> (usize, u32) {
+        (8, self.0.space().len() as u32)
+    }
+
+    fn describe(&self) -> String {
+        format!("case 2\n{:?}\n{:?}", self.0.space(), self.1)
+    }
+
+    fn label_one(&self, sampler: &CnnWorkloadSampler, rng: &mut StdRng, out: &mut Dataset) {
+        let spec = self.1;
+        let (dlo, dhi) = spec.dim_log2_range;
+        let workload = sampler.sample(rng);
         let array = ArrayConfig::new(
             1 << rng.random_range(dlo..=dhi),
             1 << rng.random_range(dlo..=dhi),
@@ -245,11 +261,20 @@ pub fn generate_dataset(problem: &Case2Problem, spec: &Case2DatasetSpec) -> Data
             bandwidth,
             limit_kb,
         };
-        let result = problem.search(&query);
-        ds.push(&query.features(), result.label)
+        let result = self.0.search(&query);
+        out.push(&query.features(), result.label)
             .expect("search labels are within the space");
     }
-    ds
+}
+
+/// Generates a labeled dataset of buffer-sizing optima: one shard of
+/// [`parallel::generate`], run on the calling thread.
+///
+/// # Panics
+///
+/// Panics if a range of the spec is invalid.
+pub fn generate_dataset(problem: &Case2Problem, spec: &Case2DatasetSpec) -> Dataset {
+    parallel::generate_here(&(problem, spec), spec.samples, spec.seed)
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use airchitect_sim::Dataflow;
 use airchitect_workload::distribution::CnnWorkloadSampler;
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::parallel::{self, ParallelError, Step};
 use crate::space::Case3Space;
 use crate::SearchResult;
 
@@ -201,19 +201,33 @@ impl Default for Case3DatasetSpec {
     }
 }
 
-/// Generates a labeled dataset of scheduling optima.
-pub fn generate_dataset(problem: &Case3Problem, spec: &Case3DatasetSpec) -> Dataset {
-    let sampler = CnnWorkloadSampler::new();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut ds = Dataset::new(12, problem.space().len() as u32)
-        .expect("space is non-empty and feature dim is 12");
-    for _ in 0..spec.samples {
-        let workloads = sampler.sample_many(4, &mut rng);
-        let result = problem.search(&workloads);
-        ds.push(&Case3Problem::features(&workloads), result.label)
+/// The CS3 labelling step: four CNN-layer GEMMs, labeled by
+/// [`Case3Problem::search`]. The spec has no range to check.
+impl Step for (&Case3Problem, &Case3DatasetSpec) {
+    fn check(&self) -> Result<(), ParallelError> {
+        Ok(())
+    }
+
+    fn schema(&self) -> (usize, u32) {
+        (12, self.0.space().len() as u32)
+    }
+
+    fn describe(&self) -> String {
+        format!("case 3\n{:?}\n{:?}", self.0.system(), self.1)
+    }
+
+    fn label_one(&self, sampler: &CnnWorkloadSampler, rng: &mut StdRng, out: &mut Dataset) {
+        let workloads = sampler.sample_many(4, rng);
+        let result = self.0.search(&workloads);
+        out.push(&Case3Problem::features(&workloads), result.label)
             .expect("search labels are within the space");
     }
-    ds
+}
+
+/// Generates a labeled dataset of scheduling optima: one shard of
+/// [`parallel::generate`], run on the calling thread.
+pub fn generate_dataset(problem: &Case3Problem, spec: &Case3DatasetSpec) -> Dataset {
+    parallel::generate_here(&(problem, spec), spec.samples, spec.seed)
 }
 
 #[cfg(test)]

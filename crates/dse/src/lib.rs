@@ -13,6 +13,8 @@
 //! * [`case1`] — array shape & dataflow prediction,
 //! * [`case2`] — SRAM buffer sizing,
 //! * [`case3`] — multi-array scheduling,
+//! * [`parallel`] — the one dataset generator: each case's labelling step
+//!   under a sharded, panic-isolated, checkpointed driver.
 //!
 //! # Example
 //!

@@ -436,19 +436,7 @@ impl QuantizedNetwork {
                     hidden[..n].copy_from_slice(&f[..n]);
                 }
                 // Dynamic requantization of the previous activations.
-                // Eight max accumulators break the serial FP dependency
-                // chain so the scan vectorizes.
-                let mut maxs = [0f32; 8];
-                let mut it = f[..n].chunks_exact(8);
-                for c in it.by_ref() {
-                    for j in 0..8 {
-                        maxs[j] = maxs[j].max(c[j].abs());
-                    }
-                }
-                let mut maxabs = maxs.iter().fold(0f32, |m, &v| m.max(v));
-                for v in it.remainder() {
-                    maxabs = maxabs.max(v.abs());
-                }
+                let maxabs = max_abs(&f[..n]);
                 let s = if maxabs > 0.0 { maxabs / 127.0 } else { 1.0 };
                 let inv = 1.0 / s;
                 // Ties-to-even below: unlike `round`, it lowers to a

@@ -139,9 +139,11 @@ pub struct ServeConfig {
     /// one. The field is kept so struct literals that set it (the
     /// benchmark harness's does) still compile.
     pub threaded: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets: trades Nagle batching
-    /// for first-byte latency on small responses.
-    /// Defaults to the `AIRCHITECT_SERVE_NODELAY` environment variable.
+    /// `TCP_NODELAY` on accepted sockets, on by default. Each response
+    /// leaves in one write, so Nagle's algorithm has nothing to coalesce:
+    /// it only holds an answer until the client ACKs the previous one.
+    /// `false` keeps Nagle on (the benchmark harness sets it, so its gated
+    /// latencies stay comparable across versions).
     pub nodelay: bool,
     /// Shadow-oracle sampling rate in `0.0..=1.0`; zero disables the
     /// online-learning loop. Sampled requests are re-scored against the
@@ -196,7 +198,7 @@ impl Default for ServeConfig {
             single_query_bypass: true,
             event_loops: 0,
             threaded: false,
-            nodelay: std::env::var_os("AIRCHITECT_SERVE_NODELAY").is_some_and(|v| v != "0"),
+            nodelay: true,
             shadow_rate: 0.0,
             shadow_dir: None,
             shadow_queue_depth: 64,

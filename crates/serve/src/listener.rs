@@ -110,7 +110,7 @@ pub(crate) struct Inner {
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) deadline_ms: u64,
     pub(crate) bypass: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets.
+    /// `TCP_NODELAY` on accepted sockets (see `ServeConfig::nodelay`).
     pub(crate) nodelay: bool,
     /// Shadow-oracle sampling pipeline; `None` when disabled.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,

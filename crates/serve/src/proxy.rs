@@ -1180,7 +1180,8 @@ pub struct Cluster {
 impl Cluster {
     /// Builds the replica argv for the standard case: re-invoke `program`
     /// (usually `current_exe`) with `serve` and the flags of `config`,
-    /// letting the supervisor append `--port 0`.
+    /// letting the supervisor append `--port 0`. Replicas keep `serve`'s
+    /// defaults for everything else, `TCP_NODELAY` included.
     #[must_use]
     pub fn replica_argv(program: &str, config: &ServeConfig) -> Vec<String> {
         let mut argv = vec![
@@ -1217,9 +1218,6 @@ impl Cluster {
         }
         if !config.single_query_bypass {
             argv.push("--no-bypass".into());
-        }
-        if config.nodelay {
-            argv.push("--nodelay".into());
         }
         if config.shadow_rate > 0.0 {
             argv.push("--shadow-oracle".into());

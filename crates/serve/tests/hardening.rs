@@ -352,8 +352,8 @@ fn newline_free_megabyte_head_is_answered_413_mid_flood() {
     shutdown(HttpClient::connect(addr, TIMEOUT).unwrap(), handle);
 }
 
-/// `--nodelay` is opt-in and must never change observable semantics,
-/// only latency: with and without it the listener answers byte-identically.
+/// `TCP_NODELAY` must never change observable semantics, only latency:
+/// with and without it the listener answers byte-identically.
 #[test]
 fn nodelay_keeps_answers_identical() {
     let base = ServeConfig {

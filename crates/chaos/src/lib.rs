@@ -41,10 +41,9 @@
 //!   `serve.reload.read`;
 //! * cluster mode — `cluster.probe` (health probe fails as unreachable),
 //!   `cluster.spawn` (replica spawn fails, driving restart backoff),
-//!   `cluster.proxy.accept` (router accept loop), `cluster.proxy.read`
-//!   (routed attempt fails before the replica, forcing failover),
-//!   `cluster.proxy.write` (router drops the client connection instead
-//!   of writing the response).
+//!   `cluster.proxy.read` (routed attempt fails before the replica,
+//!   forcing failover); the router's own accepts, reads and writes go
+//!   through the `serve.*` listener points above.
 
 #![warn(missing_docs)]
 

@@ -471,6 +471,11 @@ fn generate_inner(args: &Args) -> Result<(), CliError> {
     // generation always reuses intact shards (the spec manifest catches
     // directory misuse).
     let dir = checkpoint_args(args)?.map(|(dir, _)| dir);
+    if case != CaseStudy::ArrayDataflow && args.optional("budget-log2").is_some() {
+        return Err(CliError::Usage(
+            "`--budget-log2` sets the CS1 MAC budget; only `--case 1` takes it".into(),
+        ));
+    }
     let t0 = std::time::Instant::now();
     let mut datagen_span = airchitect_telemetry::span::Span::enter("pipeline.datagen");
     datagen_span.field_u64("samples", samples as u64);

@@ -143,8 +143,8 @@ COMMANDS:
   generate   --case 1|2|3 --samples N --out data.aids [--seed S] [--threads T]
              [--budget-log2 B] [--checkpoint-dir DIR | --resume DIR]
              Generate a labeled dataset with the conventional search flow, on
-             T panic-isolated shards, one thread each (the bytes depend on
-             the seed and T only). --checkpoint-dir persists finished shards;
+             T panic-isolated shards (at most one thread per core; the bytes
+             depend on the seed and T only). --checkpoint-dir persists finished shards;
              --resume DIR reuses the intact ones and regenerates the rest, to
              the same bytes. Case 1 samples budgets 2^5..=2^B (B <= 63).
 
@@ -219,14 +219,18 @@ COMMANDS:
              DIR for `train --from-log`. A full shadow queue drops samples
              (serve.shadow.dropped) instead of delaying requests.
              --cluster [--replicas N] [--probe-interval-ms MS]
-             [--probe-timeout-ms MS] [--hedge-ms MS] [--max-inflight N]
+             [--probe-timeout-ms MS] [--max-inflight N]
              [--backend-timeout-ms MS]
              Cluster mode: supervise N replica child processes (health
              probes, exponential-backoff restarts with a restart-storm cap)
-             behind a consistent-hashing router that retries idempotent
-             recommends on the next replica, hedges tail-latent requests
-             (--hedge-ms 0 derives the delay from the rolling p99), and
-             aggregates /healthz + /metrics across the fleet.
+             behind a consistent-hashing router on the same event loops as
+             a replica. It retries idempotent recommends on the next
+             replica when one fails, answers 5xx or is still silent after
+             --backend-timeout-ms, and aggregates /healthz + /metrics
+             across the fleet. --max-inflight N (1..=256, default 4) caps
+             the requests in flight to one replica and is the router's
+             forwarding threads per replica; excess goes to the next
+             replica.
 
   report     FILE (or --in FILE)
              Validate a telemetry JSON-lines file against the versioned

@@ -54,7 +54,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         "replicas",
         "probe-interval-ms",
         "probe-timeout-ms",
-        "hedge-ms",
         "max-inflight",
         "backend-timeout-ms",
     ])?;
@@ -244,8 +243,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
             replicas,
             probe_interval_ms: args.u64_or("probe-interval-ms", 200)?,
             probe_timeout_ms: args.u64_or("probe-timeout-ms", 1000)?,
-            hedge_ms: args.u64_or("hedge-ms", 0)?,
-            max_inflight: args.u64_or("max-inflight", 256)?,
+            max_inflight: args.u64_or("max-inflight", ClusterConfig::default().max_inflight)?,
             backend_timeout_ms: args.u64_or("backend-timeout-ms", 10_000)?,
             read_timeout_secs: config.read_timeout_secs,
             write_timeout_secs: config.write_timeout_secs,

@@ -172,6 +172,55 @@ fn usage_errors_exit_with_code_2() {
             "0",
         ],
         vec!["serve", "--model", "/tmp/x.airm", "--nodelay"],
+        // Hedging is gone from the cluster router.
+        vec![
+            "serve",
+            "--cluster",
+            "--model",
+            "/tmp/x.airm",
+            "--hedge-ms",
+            "5",
+        ],
+        // `--max-inflight` is also the forwarding threads per replica.
+        vec![
+            "serve",
+            "--cluster",
+            "--model",
+            "/tmp/x.airm",
+            "--max-inflight",
+            "0",
+        ],
+        vec![
+            "serve",
+            "--cluster",
+            "--model",
+            "/tmp/x.airm",
+            "--max-inflight",
+            "257",
+        ],
+        // The MAC budget is a CS1 knob; cases 2 and 3 used to ignore it.
+        vec![
+            "generate",
+            "--case",
+            "2",
+            "--samples",
+            "5",
+            "--out",
+            "/tmp/x.aids",
+            "--budget-log2",
+            "7",
+        ],
+        vec![
+            "generate",
+            "--case",
+            "3",
+            "--samples",
+            "5",
+            "--out",
+            "/tmp/x.aids",
+            "--budget-log2",
+            "7",
+        ],
     ] {
         let out = airchitect(&args);
         assert_eq!(

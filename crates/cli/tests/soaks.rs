@@ -517,7 +517,6 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     let readmit_ms = readmit_t0.elapsed().as_millis();
     let views = fleet.views();
     let failovers: u64 = views.iter().map(|v| v.failovers_total).sum();
-    let hedges: u64 = views.iter().map(|v| v.hedges_fired).sum();
     let restarts = restarts();
     shutdown(addr, router);
     let _ = std::fs::remove_file(&model_path);
@@ -528,7 +527,7 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     println!(
         "cluster: {qps:.0} req/s ({:.2}x one replica at {baseline_qps:.0}, floor {required}x, \
          {cores} cores); {failed} failed; replica {VICTIM} re-admitted in {readmit_ms} ms; \
-         {restarts} restarts, {failovers} failovers, {hedges} hedges; latency p50 {} us, \
+         {restarts} restarts, {failovers} failovers; latency p50 {} us, \
          p95 {} us, p99 {} us",
         qps / baseline_qps,
         percentile(&latencies, 0.50),

@@ -17,6 +17,9 @@ use crate::parallel::{self, ParallelError, Step};
 use crate::space::Case3Space;
 use crate::SearchResult;
 
+/// Workloads per CS3 query, one per array of the paper's system.
+const WORKLOADS: usize = 4;
+
 /// The case-study-3 optimization problem: a fixed heterogeneous system plus
 /// the schedule output space.
 #[derive(Debug, Clone)]
@@ -202,10 +205,19 @@ impl Default for Case3DatasetSpec {
 }
 
 /// The CS3 labelling step: four CNN-layer GEMMs, labeled by
-/// [`Case3Problem::search`]. The spec has no range to check.
+/// [`Case3Problem::search`]. The spec has no range to check, but the
+/// system must have one array per workload.
 impl Step for (&Case3Problem, &Case3DatasetSpec) {
     fn check(&self) -> Result<(), ParallelError> {
-        Ok(())
+        let arrays = self.0.system().len();
+        if arrays == WORKLOADS {
+            Ok(())
+        } else {
+            Err(ParallelError::ArrayCount {
+                arrays,
+                expected: WORKLOADS,
+            })
+        }
     }
 
     fn schema(&self) -> (usize, u32) {
@@ -217,7 +229,7 @@ impl Step for (&Case3Problem, &Case3DatasetSpec) {
     }
 
     fn label_one(&self, sampler: &CnnWorkloadSampler, rng: &mut StdRng, out: &mut Dataset) {
-        let workloads = sampler.sample_many(4, rng);
+        let workloads = sampler.sample_many(WORKLOADS, rng);
         let result = self.0.search(&workloads);
         out.push(&Case3Problem::features(&workloads), result.label)
             .expect("search labels are within the space");

@@ -4,8 +4,9 @@
 //! Search-labeling is embarrassingly parallel: every sample is an
 //! independent (draw a query → exhaustive search) task. Each case study's
 //! `(&problem, &spec)` pair is a [`Step`], and [`generate`] splits the
-//! sample budget into shards, runs each shard's loop on its own thread and
-//! concatenates the shards in order.
+//! sample budget into shards, runs their loops on at most
+//! `available_parallelism` worker threads and concatenates the shards in
+//! order.
 //!
 //! Fault tolerance:
 //!
@@ -30,6 +31,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use airchitect_data::{codec, DataError, Dataset, Integrity};
 use airchitect_telemetry::span::Field;
@@ -57,6 +59,14 @@ pub enum ParallelError {
         /// Its upper bound.
         hi: u64,
     },
+    /// The problem's system has `arrays` arrays, but the step labels
+    /// exactly `expected` workloads, one per array.
+    ArrayCount {
+        /// Arrays in the problem's system.
+        arrays: usize,
+        /// Arrays the step can label.
+        expected: usize,
+    },
     /// One shard kept panicking through every parallel and sequential
     /// retry.
     ShardFailed {
@@ -82,6 +92,10 @@ impl std::fmt::Display for ParallelError {
         match self {
             ParallelError::ZeroThreads => write!(f, "need at least one thread"),
             ParallelError::BadRange { field, lo, hi } => write!(f, "bad {field} range {lo}..={hi}"),
+            ParallelError::ArrayCount { arrays, expected } => write!(
+                f,
+                "system has {arrays} arrays; the step labels {expected} workloads, one per array"
+            ),
             ParallelError::ShardFailed {
                 shard,
                 attempts,
@@ -256,11 +270,14 @@ where
     Err((last + 1, last_error))
 }
 
-/// Fault-isolated fan-out: one thread per `(shard, count)` work item, each
-/// retried in place on panic, with a final sequential retry round on the
-/// calling thread for shards that failed every parallel attempt. `done`
-/// runs on the thread that finished a shard, as soon as it finishes; its
-/// error ends the run once every thread has joined.
+/// Fault-isolated fan-out over `(shard, count)` work items: at most
+/// `available_parallelism` scoped workers take items in order from a
+/// shared counter, each item retried in place on panic, with a final
+/// sequential retry round on the calling thread for shards that failed
+/// every parallel attempt. So the shard count sets checkpoint
+/// granularity, not thread count. `done` runs on the thread that finished
+/// a shard, as soon as it finishes; its error ends the run once every
+/// worker has joined.
 ///
 /// Results come back in `work` order.
 fn run_shards<F, D>(
@@ -281,28 +298,47 @@ where
         }
         Ok(outcome)
     };
-    let parallel: Vec<Result<ShardOutcome, ParallelError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .iter()
-            .map(|&(shard, count)| scope.spawn(move || attempt(shard, count, 0, max_retries)))
-            .collect();
-        // The worker itself is panic-proofed; a join error means the retry
-        // loop machinery (or `done`) died, which we fold into the same
-        // sequential-fallback path.
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Ok(Err((max_retries + 1, panic_message(p)))))
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(work.len());
+    let next = AtomicUsize::new(0);
+    let mut parallel: Vec<Option<Result<ShardOutcome, ParallelError>>> =
+        (0..work.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut finished = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(shard, count)) = work.get(i) else {
+                            return finished;
+                        };
+                        // The shard body is panic-proofed; a panic here
+                        // means the retry machinery (or `done`) died, which
+                        // folds into the same sequential-fallback path.
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            attempt(shard, count, 0, max_retries)
+                        }))
+                        .unwrap_or_else(|p| Ok(Err((max_retries + 1, panic_message(p)))));
+                        finished.push((i, result));
+                    }
+                })
             })
-            .collect()
+            .collect();
+        for handle in handles {
+            let finished = handle.join().expect("shard workers catch their panics");
+            for (i, result) in finished {
+                parallel[i] = Some(result);
+            }
+        }
     });
 
     let mut out = Vec::with_capacity(work.len());
     for (&(shard, count), result) in work.iter().zip(parallel) {
         // Sequential fallback: same shard, fresh attempt numbers, on this
         // thread.
-        let outcome = match result? {
+        let outcome = match result.expect("every work item ran")? {
             Err((spent, _)) => attempt(shard, count, spent, spent + max_retries)?,
             finished => finished,
         };
@@ -413,8 +449,8 @@ fn resume_shard(
 }
 
 /// Generates `samples` labeled samples with `step` over `shards` shards,
-/// one worker thread each, seeded from `seed` (see the module docs for
-/// retries and determinism).
+/// on at most `available_parallelism` worker threads, seeded from `seed`
+/// (see the module docs for retries and determinism).
 ///
 /// With `checkpoint`, each finished shard is written atomically into that
 /// directory (checksummed `.aids` plus a `seed`/`attempts` sidecar) under a
@@ -425,7 +461,8 @@ fn resume_shard(
 /// # Errors
 ///
 /// [`ParallelError::ZeroThreads`] for zero shards, [`ParallelError::BadRange`]
-/// for an invalid spec, [`ParallelError::ShardFailed`] if a shard exhausts
+/// for an invalid spec, [`ParallelError::ArrayCount`] for a system the step
+/// cannot label, [`ParallelError::ShardFailed`] if a shard exhausts
 /// every retry, [`ParallelError::ManifestMismatch`] when `checkpoint` holds
 /// another generation, and [`ParallelError::Data`] on shard I/O failures or
 /// an empty output space.
@@ -696,6 +733,18 @@ mod tests {
                 ParallelError::BadRange { field: f, .. } if f == field
             ));
         }
+        // CS3 draws one workload per array of the paper's four: a
+        // three-array system is refused before any shard runs (it used to
+        // panic in every shard and retry into `ShardFailed`).
+        let p3 =
+            Case3Problem::with_system(airchitect_sim::multi::MultiArraySystem::heterogeneous_3());
+        assert_eq!(
+            generate(&(&p3, &Case3DatasetSpec::default()), 10, 0, 2, None).unwrap_err(),
+            ParallelError::ArrayCount {
+                arrays: 3,
+                expected: 4
+            }
+        );
         // A budget below 4 MACs enumerates no shapes: the schema check
         // refuses it before any shard runs.
         let empty = Case1Problem::new(2);
@@ -782,6 +831,47 @@ mod tests {
         };
         let out = run_shards(&[(0, 0)], 11, DEFAULT_MAX_RETRIES, &worker, &no_save).unwrap();
         assert_eq!(out[0].3, 4);
+    }
+
+    #[test]
+    fn shards_run_on_at_most_available_parallelism_workers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Records how many `label_one` calls overlap.
+        struct Overlap {
+            live: AtomicUsize,
+            peak: AtomicUsize,
+        }
+        impl Step for Overlap {
+            fn check(&self) -> Result<(), ParallelError> {
+                Ok(())
+            }
+            fn schema(&self) -> (usize, u32) {
+                (1, 2)
+            }
+            fn describe(&self) -> String {
+                "overlap".into()
+            }
+            fn label_one(&self, _: &CnnWorkloadSampler, _: &mut StdRng, out: &mut Dataset) {
+                let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak.fetch_max(live, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                self.live.fetch_sub(1, Ordering::SeqCst);
+                out.push(&[0.0], 0).unwrap();
+            }
+        }
+        let _serial = serial();
+        let step = Overlap {
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        };
+        let generation = generate(&step, 128, 5, 64, None).unwrap();
+        assert_eq!(generation.dataset.len(), 128);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let peak = step.peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= cores,
+            "{peak} concurrent label_one calls on {cores} cores"
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! queue holds `depth` jobs the push fails immediately and the connection
 //! answers `429` with `Retry-After`, keeping queue latency bounded for the
 //! requests that *are* admitted.
+//!
+//! Work that may block — a replica's reloads and rollbacks, the cluster
+//! router's forwarded requests and control calls — runs on an [`OffLoop`]:
+//! the same bounded queue drained by a fixed set of threads, answering
+//! through the same [`CompletionQueue`] the batch workers use.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +34,7 @@ use airchitect_workload::GemmWorkload;
 
 use crate::breaker::{Admit, Breakers};
 use crate::fallback::Oracle;
+use crate::http::Response;
 use crate::reload::{case_name, CaseProblem, LoadedModel, ModelHub};
 
 /// A decoded, validated recommendation query.
@@ -100,6 +106,16 @@ pub enum Outcome {
     },
 }
 
+/// What a job hands back to the shard that queued it.
+#[derive(Debug)]
+pub enum Done {
+    /// A batch worker's inference outcome; the shard frames (and caches)
+    /// it.
+    Outcome(Outcome),
+    /// A finished response from an [`OffLoop`] step.
+    Response(Response),
+}
+
 /// Where a worker delivers its [`Outcome`]: the shard that queued the job
 /// never blocks on it, so the reply lands on that shard's
 /// [`CompletionQueue`] and an eventfd wake re-arms the connection inside
@@ -119,13 +135,20 @@ impl Reply {
     /// Delivers `outcome`. If the client has gone, the shard discards it
     /// by token.
     pub fn send(&self, outcome: Outcome) {
-        self.queue.push(self.conn, self.req, outcome);
+        self.queue.push(self.conn, self.req, Done::Outcome(outcome));
+    }
+
+    /// Delivers a finished response, discarded by token like
+    /// [`Reply::send`].
+    pub fn respond(&self, response: Response) {
+        self.queue
+            .push(self.conn, self.req, Done::Response(response));
     }
 }
 
 /// A completion delivered to an evented shard: `(connection token,
-/// request sequence, outcome)`.
-pub type Completion = (u64, u64, Outcome);
+/// request sequence, result)`.
+pub type Completion = (u64, u64, Done);
 
 /// Mailbox between batch workers and one evented shard. Workers push
 /// finished outcomes; the shard drains after an eventfd wake. The wake is
@@ -153,11 +176,11 @@ impl CompletionQueue {
     }
 
     /// Pushes one completion and wakes the owning loop if it was idle.
-    pub fn push(&self, conn: u64, req: u64, outcome: Outcome) {
+    pub fn push(&self, conn: u64, req: u64, done: Done) {
         let was_empty = {
             let mut entries = self.entries.lock().expect("completions poisoned");
             let was_empty = entries.is_empty();
-            entries.push((conn, req, outcome));
+            entries.push((conn, req, done));
             was_empty
         };
         if was_empty {
@@ -232,20 +255,20 @@ pub enum PushError {
     ShuttingDown,
 }
 
-struct State {
-    jobs: VecDeque<Job>,
+struct State<T> {
+    jobs: VecDeque<T>,
     shutdown: bool,
 }
 
 /// The bounded MPMC job queue (mutex + condvar; std has no native MPMC
 /// channel with try-push semantics).
-pub struct Queue {
-    state: Mutex<State>,
+pub struct Queue<T = Job> {
+    state: Mutex<State<T>>,
     ready: Condvar,
     depth: usize,
 }
 
-impl Queue {
+impl<T> Queue<T> {
     /// Creates a queue admitting at most `depth` waiting jobs.
     pub fn new(depth: usize) -> Self {
         Self {
@@ -264,7 +287,7 @@ impl Queue {
     ///
     /// [`PushError::Full`] at capacity, [`PushError::ShuttingDown`] once
     /// [`Queue::shutdown`] has been called.
-    pub fn push(&self, job: Job) -> Result<(), PushError> {
+    pub fn push(&self, job: T) -> Result<(), PushError> {
         let mut state = self.state.lock().expect("queue poisoned");
         if state.shutdown {
             return Err(PushError::ShuttingDown);
@@ -282,7 +305,7 @@ impl Queue {
     /// Blocks until work is available, then drains up to `max` jobs.
     /// Returns an empty batch only when the queue is shut down *and*
     /// drained — the worker-exit signal.
-    pub fn pop_batch(&self, max: usize) -> Vec<Job> {
+    pub fn pop_batch(&self, max: usize) -> Vec<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if !state.jobs.is_empty() {
@@ -311,6 +334,82 @@ impl Queue {
     pub fn shutdown(&self) {
         self.state.lock().expect("queue poisoned").shutdown = true;
         self.ready.notify_all();
+    }
+}
+
+/// One unit of blocking work and where its response goes.
+struct Task<S> {
+    reply: Reply,
+    work: Box<dyn FnOnce(&mut S) -> Response + Send>,
+}
+
+/// The off-loop step: a bounded queue of blocking work drained by a fixed
+/// set of threads, each owning one `S` for its whole life (the router's
+/// keep-alive backend connections), so that state needs no lock. The
+/// shard that submits a step parks the connection; the thread answers
+/// through the [`Reply`], exactly as a batch worker does. A full queue
+/// refuses the step ([`PushError::Full`]) instead of blocking the loop.
+pub(crate) struct OffLoop<S> {
+    queue: Queue<Task<S>>,
+}
+
+impl<S: Default + 'static> OffLoop<S> {
+    /// An empty step admitting at most `depth` waiting jobs; no thread
+    /// runs until [`OffLoop::spawn`].
+    pub(crate) fn new(depth: usize) -> Arc<Self> {
+        Arc::new(Self {
+            queue: Queue::new(depth),
+        })
+    }
+
+    /// Starts `threads` threads draining the queue; they exit (joinable)
+    /// after [`OffLoop::shutdown`] once it is empty.
+    pub(crate) fn spawn(self: &Arc<Self>, name: &str, threads: usize) -> Vec<JoinHandle<()>> {
+        (0..threads.max(1))
+            .map(|i| {
+                let pool = Arc::clone(self);
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || pool.drain())
+                    .expect("spawn off-loop thread")
+            })
+            .collect()
+    }
+
+    /// Queues `work`; its response reaches the connection through `reply`.
+    pub(crate) fn submit(
+        &self,
+        reply: Reply,
+        work: impl FnOnce(&mut S) -> Response + Send + 'static,
+    ) -> Result<(), PushError> {
+        self.queue.push(Task {
+            reply,
+            work: Box::new(work),
+        })
+    }
+
+    /// Stops admission; queued work still runs before the threads exit.
+    pub(crate) fn shutdown(&self) {
+        self.queue.shutdown();
+    }
+
+    fn drain(&self) {
+        let mut state = S::default();
+        loop {
+            let tasks = self.queue.pop_batch(1);
+            if tasks.is_empty() {
+                return;
+            }
+            for task in tasks {
+                // A panicking step costs its request one 500; the thread,
+                // and the connection waiting on it, carry on.
+                let response = catch_unwind(AssertUnwindSafe(|| (task.work)(&mut state)))
+                    .unwrap_or_else(|_| {
+                        Response::error(500, "internal_panic", "the request handler panicked")
+                    });
+                task.reply.respond(response);
+            }
+        }
     }
 }
 
@@ -754,10 +853,12 @@ mod tests {
     #[test]
     fn completion_queue_drains_in_push_order() {
         let q = CompletionQueue::new().unwrap();
-        let outcome = || Outcome::Err {
-            status: 504,
-            code: "deadline_exceeded",
-            message: String::new(),
+        let outcome = || {
+            Done::Outcome(Outcome::Err {
+                status: 504,
+                code: "deadline_exceeded",
+                message: String::new(),
+            })
         };
         q.push(1, 10, outcome());
         q.push(2, 20, outcome());
@@ -771,8 +872,58 @@ mod tests {
     }
 
     #[test]
+    fn off_loop_answers_through_the_completion_queue_and_isolates_panics() {
+        let pool: Arc<OffLoop<u32>> = OffLoop::new(1);
+        let completions = Arc::new(CompletionQueue::new().unwrap());
+        let reply = |req| Reply {
+            queue: Arc::clone(&completions),
+            conn: 7,
+            req,
+        };
+        let count = |calls: &mut u32| {
+            *calls += 1;
+            Response::json(200, calls.to_string())
+        };
+        let wait_for = |n: usize| {
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while completions.len() < n {
+                assert!(Instant::now() < deadline, "no completion");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        // No thread drains yet: one step fits, the next is refused.
+        pool.submit(reply(1), count).unwrap();
+        assert_eq!(pool.submit(reply(2), count).unwrap_err(), PushError::Full);
+        let threads = pool.spawn("offloop-test", 1);
+        wait_for(1);
+        pool.submit(reply(3), |_| panic!("injected")).unwrap();
+        wait_for(2);
+        // The thread survived the panic and kept its state.
+        pool.submit(reply(4), count).unwrap();
+        pool.shutdown();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let mut out = Vec::new();
+        completions.drain_into(&mut out);
+        let answers: Vec<(u64, u16, String)> = out
+            .into_iter()
+            .map(|(conn, req, done)| match done {
+                Done::Response(r) => {
+                    assert_eq!(conn, 7);
+                    (req, r.status, r.body)
+                }
+                Done::Outcome(o) => panic!("unexpected outcome {o:?}"),
+            })
+            .collect();
+        assert_eq!(answers[0], (1, 200, "1".to_string()));
+        assert_eq!((answers[1].0, answers[1].1), (3, 500));
+        assert_eq!(answers[2], (4, 200, "2".to_string()));
+    }
+
+    #[test]
     fn blocked_pop_wakes_on_shutdown() {
-        let q = Arc::new(Queue::new(4));
+        let q = Arc::new(Queue::<Job>::new(4));
         let q2 = Arc::clone(&q);
         let h = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(std::time::Duration::from_millis(20));

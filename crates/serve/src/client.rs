@@ -1,5 +1,6 @@
 //! A minimal blocking HTTP/1.1 client, just capable enough to drive the
-//! server from the loadgen bench and the integration tests (keep-alive,
+//! server from the loadgen bench and the integration tests, and to carry
+//! the cluster router's requests to its replicas (keep-alive,
 //! `Content-Length` bodies, no redirects, no TLS).
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -84,6 +85,28 @@ impl HttpClient {
         self.request("POST", path, body, Some(deadline_ms))
     }
 
+    /// Issues a `POST` for the cluster router: an optional
+    /// `X-Deadline-Ms`, and at most `max_bytes` of response read, head
+    /// included, since the server is another process.
+    pub(crate) fn forward(
+        &mut self,
+        path: &str,
+        body: &str,
+        deadline_ms: Option<u64>,
+        max_bytes: usize,
+    ) -> std::io::Result<ClientResponse> {
+        self.send("POST", path, body, deadline_ms)?;
+        let mut capped = (&mut self.reader).take(max_bytes as u64);
+        let resp = read_response(&mut capped);
+        if resp.is_err() && capped.limit() == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("response exceeds {max_bytes} bytes"),
+            ));
+        }
+        resp
+    }
+
     fn request(
         &mut self,
         method: &str,
@@ -91,6 +114,17 @@ impl HttpClient {
         body: &str,
         deadline_ms: Option<u64>,
     ) -> std::io::Result<ClientResponse> {
+        self.send(method, path, body, deadline_ms)?;
+        read_response(&mut self.reader)
+    }
+
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        deadline_ms: Option<u64>,
+    ) -> std::io::Result<()> {
         let mut head = format!(
             "{method} {path} HTTP/1.1\r\nHost: airchitect\r\nConnection: keep-alive\r\nContent-Length: {}\r\n",
             body.len()
@@ -101,58 +135,67 @@ impl HttpClient {
         head.push_str("\r\n");
         self.writer.write_all(head.as_bytes())?;
         self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        self.writer.flush()
+    }
+}
+
+/// Reads one response. The stream ending anywhere before the body's last
+/// byte is an error, never a shortened response.
+fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
+    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let closed = || {
+        std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        )
+    };
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(closed());
+    }
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or_else(|| bad(format!("bad status line `{}`", line.trim_end())))?;
+
+    let mut content_length = 0usize;
+    let mut retry_after = None;
+    let mut warning = None;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(closed());
+        }
+        let trimmed = line.trim_end();
+        if trimmed.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = trimmed.split_once(':') {
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value
+                    .parse()
+                    .map_err(|_| bad(format!("bad Content-Length `{value}`")))?;
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                retry_after = value.parse().ok();
+            } else if name.eq_ignore_ascii_case("warning") {
+                warning = Some(value.to_string());
+            }
+        }
     }
 
-    fn read_response(&mut self) -> std::io::Result<ClientResponse> {
-        let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        let status = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| bad(format!("bad status line `{}`", line.trim_end())))?;
-
-        let mut content_length = 0usize;
-        let mut retry_after = None;
-        let mut warning = None;
-        loop {
-            line.clear();
-            self.reader.read_line(&mut line)?;
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .parse()
-                        .map_err(|_| bad(format!("bad Content-Length `{value}`")))?;
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.parse().ok();
-                } else if name.eq_ignore_ascii_case("warning") {
-                    warning = Some(value.to_string());
-                }
-            }
-        }
-
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok(ClientResponse {
-            status,
-            body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 body".into()))?,
-            retry_after,
-            warning,
-        })
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(closed());
     }
+    Ok(ClientResponse {
+        status,
+        body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 body".into()))?,
+        retry_after,
+        warning,
+    })
 }
 
 /// A self-healing client: keeps one keep-alive connection, reconnects
@@ -254,12 +297,12 @@ impl RetryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::http::{try_parse, Parsed};
     use std::net::TcpListener;
 
     /// A server whose first `drop_first` connections are closed without a
-    /// response; later connections get one canned 200 per request.
-    fn flaky_server(drop_first: usize) -> SocketAddr {
+    /// response; later connections get `reply` per request.
+    fn canned_server(drop_first: usize, reply: &'static [u8]) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
@@ -270,16 +313,34 @@ mod tests {
                     continue;
                 }
                 std::thread::spawn(move || {
-                    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-                    while crate::http::read_request(&mut reader).is_ok() {
-                        let _ = stream.write_all(
-                            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok",
-                        );
+                    let mut buf = Vec::new();
+                    let mut chunk = [0u8; 4096];
+                    loop {
+                        match try_parse(&buf) {
+                            Ok(Parsed::Complete { consumed, .. }) => {
+                                buf.drain(..consumed);
+                                if stream.write_all(reply).is_err() {
+                                    return;
+                                }
+                            }
+                            Ok(Parsed::Partial) => match stream.read(&mut chunk) {
+                                Ok(0) | Err(_) => return,
+                                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                            },
+                            Err(_) => return,
+                        }
                     }
                 });
             }
         });
         addr
+    }
+
+    fn flaky_server(drop_first: usize) -> SocketAddr {
+        canned_server(
+            drop_first,
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok",
+        )
     }
 
     #[test]
@@ -300,5 +361,34 @@ mod tests {
         let mut client =
             RetryClient::new(addr, Duration::from_secs(2), 2, Duration::from_millis(1));
         assert!(client.get("/healthz").is_err());
+    }
+
+    #[test]
+    fn forward_reads_at_most_its_cap_head_included() {
+        const REPLY: &[u8] =
+            b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\nRetry-After: 3\r\n\r\n{\"ok\":1}";
+        let addr = canned_server(0, REPLY);
+        let mut client = HttpClient::connect(addr, Duration::from_secs(2)).unwrap();
+        let resp = client.forward("/x", "{}", Some(5), REPLY.len()).unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (200, "{\"ok\":1}"));
+        assert_eq!(resp.retry_after, Some(3));
+        // One byte short of the whole response: refused, not truncated.
+        let err = client
+            .forward("/x", "{}", None, REPLY.len() - 1)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn a_response_cut_short_is_an_error() {
+        for cut in [
+            // Cut before its headers ended: not an empty 200.
+            &b"HTTP/1.1 200 OK\r\n"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\no"[..],
+        ] {
+            let err = read_response(&mut &cut[..]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{cut:?}");
+        }
     }
 }

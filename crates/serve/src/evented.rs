@@ -5,11 +5,11 @@
 //! Each connection moves through a small cycle driven entirely by
 //! readiness: **read** (append to a growing buffer) → **parse**
 //! (incremental [`try_parse`]; partial heads/bodies just wait for more
-//! bytes) → **dispatch** ([`handle_request_step`], where every routing and
-//! admission decision is made) → **write** (buffered, flushed as
-//! `EPOLLOUT` allows).
-//! A request the dispatcher queues for the batch workers parks the
-//! connection as `pending`; the worker's outcome comes back through the
+//! bytes) → **dispatch** ([`Handler::step`], where the role it serves —
+//! replica or cluster router — makes every routing and admission
+//! decision) → **write** (buffered, flushed as `EPOLLOUT` allows).
+//! A request the handler queues for a batch worker or an off-loop thread
+//! parks the connection as `pending`; the answer comes back through the
 //! shard's [`CompletionQueue`], whose eventfd wakes the loop without the
 //! worker ever touching a socket.
 //!
@@ -30,14 +30,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::batch::{Completion, CompletionQueue, Reply};
+use crate::batch::{Completion, CompletionQueue, Done, Reply};
 use crate::http::{try_parse, write_response, Parsed, ReadError, Request, Response};
 use crate::listener::{
-    deadline_exceeded, handle_request_step, outcome_response, record_latency, Inner, ShardStats,
-    Step, MAX_ACCEPT_ERRORS,
+    deadline_exceeded, record_latency, Front, Handler, ShardStats, Step, MAX_ACCEPT_ERRORS,
 };
 use crate::reactor::{Events, Interest, Poller};
-use crate::{ServeConfig, ServeError};
+use crate::ServeError;
 
 /// Listen backlog for every shard acceptor: connection storms park in the
 /// kernel while the loops drain them in bursts.
@@ -67,7 +66,8 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
 /// Everything a shard thread needs, bound before the server starts so
-/// bind errors surface from [`crate::Server::bind`], not mid-serve.
+/// bind errors surface from [`crate::Server::bind`] or
+/// [`crate::Cluster::start`], not mid-serve.
 pub(crate) struct ShardSeed {
     pub(crate) id: usize,
     pub(crate) addr: SocketAddr,
@@ -76,22 +76,22 @@ pub(crate) struct ShardSeed {
     pub(crate) completions: Arc<CompletionQueue>,
 }
 
-/// Binds `n` reuseport acceptors on the configured address. The first
-/// bind resolves `:0` to a concrete port; the rest share it.
-pub(crate) fn bind_shards(config: &ServeConfig) -> Result<Vec<ShardSeed>, ServeError> {
-    let requested: SocketAddr = config
-        .addr
+/// Binds `event_loops` reuseport acceptors on `addr` (zero picks from
+/// the CPU count). The first bind resolves `:0` to a concrete port; the
+/// rest share it.
+pub(crate) fn bind_shards(addr: &str, event_loops: usize) -> Result<Vec<ShardSeed>, ServeError> {
+    let requested: SocketAddr = addr
         .to_socket_addrs()
-        .map_err(|e| ServeError::Io(format!("resolve {}: {e}", config.addr)))?
+        .map_err(|e| ServeError::Io(format!("resolve {addr}: {e}")))?
         .next()
-        .ok_or_else(|| ServeError::Io(format!("resolve {}: no addresses", config.addr)))?;
-    let n = if config.event_loops == 0 {
+        .ok_or_else(|| ServeError::Io(format!("resolve {addr}: no addresses")))?;
+    let n = if event_loops == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(MAX_AUTO_SHARDS)
     } else {
-        config.event_loops.min(MAX_SHARDS)
+        event_loops.min(MAX_SHARDS)
     };
     let seed = |id: usize, listener: TcpListener| -> Result<ShardSeed, ServeError> {
         listener
@@ -126,7 +126,10 @@ pub(crate) fn bind_shards(config: &ServeConfig) -> Result<Vec<ShardSeed>, ServeE
 /// Runs one thread per shard and joins them all. A shard that fails
 /// flips the shutdown flag and wakes its siblings so the whole server
 /// winds down instead of limping on a subset of acceptors.
-pub(crate) fn run_shards(seeds: Vec<ShardSeed>, inner: &Arc<Inner>) -> Result<(), ServeError> {
+pub(crate) fn run_shards<H: Handler>(
+    seeds: Vec<ShardSeed>,
+    inner: &Arc<H>,
+) -> Result<(), ServeError> {
     let mut threads = Vec::with_capacity(seeds.len());
     for seed in seeds {
         let inner = Arc::clone(inner);
@@ -135,12 +138,9 @@ pub(crate) fn run_shards(seeds: Vec<ShardSeed>, inner: &Arc<Inner>) -> Result<()
             std::thread::Builder::new()
                 .name(name)
                 .spawn(move || {
-                    let result = Shard::new(seed, &inner).and_then(|mut s| s.run(&inner));
+                    let result = Shard::new(seed, inner.front()).and_then(|mut s| s.run(&inner));
                     if result.is_err() {
-                        inner.shutdown.store(true, Ordering::Release);
-                        for shard in &inner.shards {
-                            shard.completions.wake();
-                        }
+                        crate::listener::initiate_shutdown(inner.front());
                     }
                     result
                 })
@@ -166,7 +166,8 @@ pub(crate) fn run_shards(seeds: Vec<ShardSeed>, inner: &Arc<Inner>) -> Result<()
     result
 }
 
-/// A request whose outcome is owed by the batch workers.
+/// A request whose answer is owed by a batch worker or an off-loop
+/// thread.
 struct PendingReply {
     /// Request id this connection is waiting on; a completion with any
     /// other id (a post-timeout straggler) is discarded.
@@ -304,7 +305,7 @@ fn chaos_write_hit() -> bool {
 }
 
 impl Shard {
-    fn new(seed: ShardSeed, inner: &Inner) -> Result<Self, ServeError> {
+    fn new(seed: ShardSeed, front: &Front) -> Result<Self, ServeError> {
         let io_err = |what: &str, e: std::io::Error| ServeError::Io(format!("{what}: {e}"));
         let poller = Poller::new().map_err(|e| io_err("epoll_create", e))?;
         poller
@@ -324,12 +325,12 @@ impl Shard {
             scratch: Vec::new(),
             accept_errors: 0,
             last_sweep: Instant::now(),
-            read_timeout: inner.read_timeout,
-            write_timeout: inner.write_timeout,
+            read_timeout: front.read_timeout,
+            write_timeout: front.write_timeout,
         })
     }
 
-    fn run(&mut self, inner: &Arc<Inner>) -> Result<(), ServeError> {
+    fn run<H: Handler>(&mut self, inner: &Arc<H>) -> Result<(), ServeError> {
         loop {
             self.poller
                 .wait(&mut self.events, Some(WAIT_TIMEOUT))
@@ -353,7 +354,7 @@ impl Shard {
                 self.last_sweep = now;
                 self.sweep(now, inner);
             }
-            if inner.shutdown.load(Ordering::Acquire) && self.conns.live == 0 {
+            if inner.front().shutdown.load(Ordering::Acquire) && self.conns.live == 0 {
                 // Drain complete. Connections owed a response closed when
                 // it flushed; idle keep-alive connections got one
                 // read-timeout window to submit a last request (answered
@@ -367,7 +368,8 @@ impl Shard {
     /// briefly and rely on level-triggered epoll to re-report readiness;
     /// a persistent streak (> [`MAX_ACCEPT_ERRORS`]) is fatal for the
     /// shard.
-    fn accept_burst(&mut self, inner: &Arc<Inner>) -> Result<(), ServeError> {
+    fn accept_burst<H: Handler>(&mut self, inner: &Arc<H>) -> Result<(), ServeError> {
+        let front = inner.front();
         for _ in 0..ACCEPT_BATCH {
             #[allow(clippy::redundant_closure_call)]
             let attempt = (|| {
@@ -377,20 +379,20 @@ impl Shard {
             match attempt {
                 Ok((stream, _)) => {
                     self.accept_errors = 0;
-                    if inner.shutdown.load(Ordering::Acquire) {
+                    if front.shutdown.load(Ordering::Acquire) {
                         // Draining: the socket closes without a response.
                         drop(stream);
                         continue;
                     }
                     self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    if inner.nodelay {
+                    if front.nodelay {
                         let _ = stream.set_nodelay(true);
                     }
                     self.register(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) => {
-                    if inner.shutdown.load(Ordering::Acquire) {
+                    if front.shutdown.load(Ordering::Acquire) {
                         return Ok(());
                     }
                     self.accept_errors += 1;
@@ -443,13 +445,13 @@ impl Shard {
         }
     }
 
-    fn conn_event(
+    fn conn_event<H: Handler>(
         &mut self,
         token: u64,
         readable: bool,
         writable: bool,
         failed: bool,
-        inner: &Arc<Inner>,
+        inner: &Arc<H>,
     ) {
         let Some(idx) = self.conns.index_of(token) else {
             return; // stale token: the connection closed this tick
@@ -508,7 +510,7 @@ impl Shard {
     /// Parses and dispatches as many buffered requests as possible.
     /// Strictly serial per connection: nothing parses while a response is
     /// pending or unflushed, so pipelined requests are answered in order.
-    fn process_buffer(&mut self, idx: usize, inner: &Arc<Inner>) {
+    fn process_buffer<H: Handler>(&mut self, idx: usize, inner: &Arc<H>) {
         loop {
             let parse = {
                 let Some(conn) = self.conns.get_mut(idx) else {
@@ -541,8 +543,7 @@ impl Shard {
                         conn.head_since = Some(Instant::now());
                     }
                     if conn.peer_closed {
-                        // EOF mid-request: same 400 the blocking reader
-                        // produces for a truncated head.
+                        // EOF mid-request: the head or body never ended.
                         let resp = Response::error(400, "bad_request", "truncated request");
                         self.respond(idx, &resp, false);
                     }
@@ -556,18 +557,13 @@ impl Shard {
                     self.respond(idx, &resp, false);
                     return;
                 }
-                // try_parse never produces Closed/TimedOut/Io.
-                Err(_) => {
-                    self.close(idx);
-                    return;
-                }
             }
         }
     }
 
     /// Routes one parsed request. Immediate responses are serialized into
     /// the write buffer; queued ones park the connection as pending.
-    fn dispatch(&mut self, idx: usize, request: &Request, inner: &Arc<Inner>) {
+    fn dispatch<H: Handler>(&mut self, idx: usize, request: &Request, inner: &Arc<H>) {
         let (token, req_id) = {
             let Some(conn) = self.conns.get_mut(idx) else {
                 return;
@@ -581,9 +577,9 @@ impl Shard {
             conn: token,
             req: req_id,
         };
-        match handle_request_step(request, inner, reply) {
+        match H::step(inner, request, reply) {
             Step::Respond(resp) => {
-                let draining = inner.shutdown.load(Ordering::Acquire);
+                let draining = inner.front().shutdown.load(Ordering::Acquire);
                 self.respond(idx, &resp, request.keep_alive && !draining);
             }
             Step::Queued {
@@ -683,15 +679,15 @@ impl Shard {
         }
     }
 
-    /// Delivers worker outcomes to their connections. The eventfd is
+    /// Delivers queued answers to their connections. The eventfd is
     /// drained *before* the entries: a producer that pushes after the
     /// eventfd drain either lands in this entry drain or re-arms the
     /// eventfd for the next tick — either way nothing is lost.
-    fn drain_completions(&mut self, inner: &Arc<Inner>) {
+    fn drain_completions<H: Handler>(&mut self, inner: &Arc<H>) {
         self.completions.drain_wakes();
         let mut batch = std::mem::take(&mut self.scratch);
         self.completions.drain_into(&mut batch);
-        for (token, req, outcome) in batch.drain(..) {
+        for (token, req, done) in batch.drain(..) {
             let Some(idx) = self.conns.index_of(token) else {
                 continue; // connection closed while the job was in flight
             };
@@ -704,11 +700,11 @@ impl Shard {
                 }
                 conn.pending.take().expect("checked above")
             };
-            let resp = record_latency(
-                pending.started,
-                outcome_response(outcome, pending.cache_key, inner),
-            );
-            let keep_alive = pending.keep_alive && !inner.shutdown.load(Ordering::Acquire);
+            let resp = match done {
+                Done::Outcome(outcome) => inner.frame(outcome, pending.started, pending.cache_key),
+                Done::Response(resp) => resp,
+            };
+            let keep_alive = pending.keep_alive && !inner.front().shutdown.load(Ordering::Acquire);
             self.respond(idx, &resp, keep_alive);
             if self.conns.index_of(token).is_some() {
                 self.process_buffer(idx, inner);
@@ -718,8 +714,8 @@ impl Shard {
     }
 
     /// Enforces read/write timeouts and pending deadlines.
-    fn sweep(&mut self, now: Instant, inner: &Arc<Inner>) {
-        let draining = inner.shutdown.load(Ordering::Acquire);
+    fn sweep<H: Handler>(&mut self, now: Instant, inner: &Arc<H>) {
+        let draining = inner.front().shutdown.load(Ordering::Acquire);
         for idx in 0..self.conns.slots.len() {
             enum Action {
                 Nothing,

@@ -3,14 +3,12 @@
 //! `Content-Length` bodies, keep-alive, and fixed-size limits. No chunked
 //! encoding, no TLS, no multiplexing.
 //!
-//! Two parsing front-ends share one grammar: [`read_request`] blocks on a
-//! `BufRead` (cluster router, test clients) and [`try_parse`] makes a
-//! resumable attempt over whatever bytes a nonblocking socket has
-//! delivered so far (the server's event loops). Both cut lines with
-//! `strip_line_end` and route every request line and header through the
-//! same `Head` builder, so the two cannot drift on protocol decisions.
+//! One request parser, [`try_parse`], makes a resumable attempt over
+//! whatever bytes a nonblocking socket has delivered so far; the event
+//! loops of both server roles, replica and cluster router, read every
+//! request through it.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted request head (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -33,13 +31,9 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection cleanly before a request started.
-    Closed,
-    /// The read timed out (idle keep-alive connection).
-    TimedOut,
     /// Malformed or over-limit request; the server should answer with the
     /// given status and close.
     Bad {
@@ -48,8 +42,6 @@ pub enum ReadError {
         /// Human-readable reason.
         reason: String,
     },
-    /// Any other socket error.
-    Io(std::io::Error),
 }
 
 fn bad(status: u16, reason: impl Into<String>) -> ReadError {
@@ -59,8 +51,7 @@ fn bad(status: u16, reason: impl Into<String>) -> ReadError {
     }
 }
 
-/// Partially assembled request head, shared by the blocking and
-/// incremental parsers.
+/// Partially assembled request head.
 struct Head {
     method: String,
     path: String,
@@ -167,87 +158,11 @@ impl Head {
     }
 }
 
-/// Reads one request from a buffered stream.
-///
-/// # Errors
-///
-/// Returns [`ReadError`] on close, timeout, malformed input, or I/O
-/// failure.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
-    let mut line = String::new();
-    let mut head_bytes = 0usize;
-
-    // Request line. An immediate EOF here is a clean close, not an error.
-    if read_crlf_line(reader, &mut line, &mut head_bytes)? == 0 {
-        return Err(ReadError::Closed);
-    }
-    let mut head = Head::start(&line)?;
-    loop {
-        if read_crlf_line(reader, &mut line, &mut head_bytes)? == 0 {
-            // EOF before the blank line: the head never ended.
-            return Err(bad(400, "truncated request"));
-        }
-        if line.is_empty() {
-            break; // end of headers
-        }
-        head.header(&line)?;
-    }
-
-    let content_length = head.body_length()?;
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(map_io)?;
-    }
-    Ok(head.into_request(body))
-}
-
-/// Reads one `\r\n`-terminated line into `line` (terminator stripped),
-/// returning the number of raw bytes consumed (0 only at EOF before any
-/// byte).
-///
-/// The head limit is enforced *while* reading via `Read::take`: a client
-/// streaming megabytes without a newline is cut off (and answered 413) at
-/// the cap instead of having the whole flood buffered first.
-fn read_crlf_line<R: BufRead>(
-    reader: &mut R,
-    line: &mut String,
-    head_bytes: &mut usize,
-) -> Result<usize, ReadError> {
-    line.clear();
-    // One byte past the cap is enough to distinguish "over the limit"
-    // from "line ends exactly at it".
-    let cap = (MAX_HEAD_BYTES + 1).saturating_sub(*head_bytes) as u64;
-    let mut raw = Vec::new();
-    let n = std::io::Read::take(&mut *reader, cap)
-        .read_until(b'\n', &mut raw)
-        .map_err(map_io)?;
-    *head_bytes += n;
-    if *head_bytes > MAX_HEAD_BYTES {
-        return Err(bad(413, "request head too large"));
-    }
-    if n > 0 && raw.last() != Some(&b'\n') {
-        return Err(bad(400, "truncated request"));
-    }
-    match std::str::from_utf8(strip_line_end(&raw)) {
-        Ok(s) => line.push_str(s),
-        Err(_) => return Err(bad(400, "request head is not valid UTF-8")),
-    }
-    Ok(n)
-}
-
 /// Strips a head line's `\n` and at most one `\r` before it. Any other
 /// `\r` stays in the line, where the header grammar rejects it.
 fn strip_line_end(line: &[u8]) -> &[u8] {
     let line = line.strip_suffix(b"\n").unwrap_or(line);
     line.strip_suffix(b"\r").unwrap_or(line)
-}
-
-fn map_io(e: std::io::Error) -> ReadError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::TimedOut,
-        std::io::ErrorKind::UnexpectedEof => ReadError::Closed,
-        _ => ReadError::Io(e),
-    }
 }
 
 /// Result of one [`try_parse`] attempt over an accumulated buffer.
@@ -271,13 +186,13 @@ pub enum Parsed {
 /// re-parsing a small head on each readiness event is cheaper than
 /// carrying parser state, and the head cap bounds the work.
 ///
-/// Limits are enforced on the spot: a buffer exceeding [`MAX_HEAD_BYTES`]
-/// without a complete header block is rejected 413 immediately, exactly
-/// like the blocking reader's capped line reads.
+/// Limits are enforced on the spot: a head running past
+/// [`MAX_HEAD_BYTES`] is rejected 413 as soon as that many bytes have
+/// arrived, so a flood without a newline is never buffered further.
 ///
 /// # Errors
 ///
-/// Only [`ReadError::Bad`] is produced (there is no I/O here).
+/// [`ReadError::Bad`] for a malformed or over-limit request.
 pub fn try_parse(buf: &[u8]) -> Result<Parsed, ReadError> {
     let mut pos = 0usize;
     let mut head: Option<Head> = None;
@@ -436,10 +351,15 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        match try_parse(raw.as_bytes())? {
+            Parsed::Complete { request, consumed } => {
+                assert_eq!(consumed, raw.len(), "trailing bytes in {raw:?}");
+                Ok(request)
+            }
+            Parsed::Partial => panic!("incomplete request {raw:?}"),
+        }
     }
 
     #[test]
@@ -488,8 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn eof_is_a_clean_close() {
-        assert!(matches!(parse(""), Err(ReadError::Closed)));
+    fn empty_buffer_waits_for_bytes() {
+        assert!(matches!(try_parse(b""), Ok(Parsed::Partial)));
     }
 
     #[test]
@@ -505,27 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn newline_free_megabyte_head_is_cut_off_at_the_cap() {
-        // Regression: `read_line` used to buffer the entire flood before
-        // the head-size check ran. The capped reader must stop at
-        // MAX_HEAD_BYTES + 1 and answer 413.
-        let raw = vec![b'a'; 1024 * 1024];
-        let mut reader = BufReader::new(&raw[..]);
-        match read_request(&mut reader) {
-            Err(ReadError::Bad { status: 413, .. }) => {}
-            other => panic!("expected 413, got {other:?}"),
-        }
-        // The reader stopped just past the cap instead of draining 1 MiB.
-        let mut rest = Vec::new();
-        std::io::Read::read_to_end(&mut reader, &mut rest).unwrap();
-        assert!(
-            rest.len() >= raw.len() - (MAX_HEAD_BYTES + 1),
-            "flood must not be buffered past the cap (left: {})",
-            rest.len()
-        );
-    }
-
-    #[test]
     fn garbage_is_a_400() {
         assert!(matches!(
             parse("NOT-HTTP\r\n\r\n"),
@@ -538,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_the_blocking_one() {
+    fn a_request_is_partial_until_its_last_byte() {
         let raw = "POST /v1/recommend/array HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nX-Deadline-Ms: 250\r\n\r\n{}";
         // Byte-at-a-time: Partial until the last byte, then Complete.
         for cut in 0..raw.len() {

@@ -26,8 +26,10 @@
 //!   listener is N event-loop shards, each with its own `SO_REUSEPORT`
 //!   acceptor and epoll reactor driving nonblocking connection state
 //!   machines; batch-worker replies re-arm their connection through a
-//!   completion queue + eventfd wakeup. The reactor is epoll, so serving
-//!   needs Linux.
+//!   completion queue + eventfd wakeup. Work that may block — reloads,
+//!   rollbacks, the cluster router's calls to its replicas — runs on a
+//!   bounded off-loop pool that answers through the same queue. The
+//!   reactor is epoll, so serving needs Linux.
 //! * **Graceful shutdown** ([`listener`]) — `POST /v1/shutdown` stops the
 //!   shards accepting, lets the workers drain the queue, waits for every
 //!   connection to close, and returns from [`Server::run`] so the process
@@ -35,9 +37,9 @@
 //! * **Cluster mode** ([`supervisor`], [`ring`], [`proxy`]) — `serve
 //!   --cluster` supervises N single-process replicas as child processes
 //!   (health probes, exponential-backoff restarts, restart-storm caps) and
-//!   fronts them with a consistent-hashing router that fails over, hedges
-//!   tail-latent requests, and aggregates `/healthz` and `/metrics` across
-//!   the fleet.
+//!   fronts them with a consistent-hashing router, served by the same
+//!   event-loop shards, that fails over and aggregates `/healthz` and
+//!   `/metrics` across the fleet.
 //!
 //! Routes:
 //!

@@ -4,10 +4,14 @@
 //! The listener is N event-loop shards, each with its own `SO_REUSEPORT`
 //! acceptor and epoll reactor (`crate::evented`). Connections are
 //! nonblocking state machines; batch-worker replies come back through a
-//! completion queue + eventfd wake. Every request goes through
+//! completion queue + eventfd wake. The shards serve any [`Handler`]: a
+//! replica's [`Inner`] here, the cluster router's state in
+//! [`proxy`](crate::proxy). Every replica request goes through
 //! [`handle_request_step`], so routing, admission control, deadlines,
 //! breakers, caching, bypass, and chaos semantics are decided in exactly
-//! one place.
+//! one place. Reloads and rollbacks read and compile models and make
+//! fsynced registry writes, so they run on one control thread (an
+//! [`OffLoop`] of one), one at a time, while the shard keeps serving.
 //!
 //! Shutdown protocol (`POST /v1/shutdown`):
 //!
@@ -28,12 +32,14 @@ use std::time::{Duration, Instant};
 
 use airchitect_telemetry::metrics;
 
-use crate::batch::{spawn_workers, CompletionQueue, Job, PushError, Queue, Reply, Source};
+use crate::batch::{
+    spawn_workers, CompletionQueue, Job, OffLoop, Outcome, PushError, Queue, Reply, Source,
+};
 use crate::breaker::{Admit, Breakers};
 use crate::cache::{CachedResponse, LruCache};
 use crate::canary::{Rollout, RolloutConfig};
 #[cfg(target_os = "linux")]
-use crate::evented;
+pub(crate) use crate::evented;
 use crate::fallback::{self, Oracle};
 use crate::http::{Request, Response};
 use crate::registry::{Registry, DEFAULT_RETAIN};
@@ -45,6 +51,10 @@ use crate::{ServeConfig, ServeError};
 /// `X-Deadline-Ms` must not pin resources for hours.
 const MAX_DEADLINE_MS: u64 = 600_000;
 
+/// Reloads and rollbacks that may wait for a control thread (a replica's
+/// or the router's); more are refused `429`.
+pub(crate) const CONTROL_QUEUE_DEPTH: usize = 16;
+
 /// Consecutive accept failures tolerated (with backoff) before an accept
 /// path gives up. Transient errors — EMFILE pressure, injected faults —
 /// should never kill an otherwise healthy server.
@@ -52,15 +62,16 @@ pub(crate) const MAX_ACCEPT_ERRORS: u32 = 64;
 
 /// Off Linux there is no listener: the event loops are built on epoll.
 /// This stand-in keeps the crate compiling there and makes
-/// [`Server::bind`] fail with a configuration error that says so.
+/// [`Server::bind`] and [`Cluster::start`](crate::Cluster::start) fail
+/// with a configuration error that says so.
 #[cfg(not(target_os = "linux"))]
-mod evented {
+pub(crate) mod evented {
     use std::net::SocketAddr;
     use std::sync::Arc;
 
-    use super::{Inner, ShardStats};
+    use super::{Handler, ShardStats};
     use crate::batch::CompletionQueue;
-    use crate::{ServeConfig, ServeError};
+    use crate::ServeError;
 
     pub(crate) struct ShardSeed {
         pub(crate) addr: SocketAddr,
@@ -68,13 +79,13 @@ mod evented {
         pub(crate) completions: Arc<CompletionQueue>,
     }
 
-    pub(crate) fn bind_shards(_: &ServeConfig) -> Result<Vec<ShardSeed>, ServeError> {
+    pub(crate) fn bind_shards(_: &str, _: usize) -> Result<Vec<ShardSeed>, ServeError> {
         Err(ServeError::Config(
             "the listener is an epoll reactor; serving needs Linux".into(),
         ))
     }
 
-    pub(crate) fn run_shards(_: Vec<ShardSeed>, _: &Arc<Inner>) -> Result<(), ServeError> {
+    pub(crate) fn run_shards<H: Handler>(_: Vec<ShardSeed>, _: &Arc<H>) -> Result<(), ServeError> {
         Ok(())
     }
 }
@@ -99,26 +110,87 @@ pub(crate) struct ShardHandle {
     pub(crate) completions: Arc<CompletionQueue>,
 }
 
-/// State shared by every shard and connection.
-pub(crate) struct Inner {
-    pub(crate) hub: Arc<ModelHub>,
-    pub(crate) queue: Arc<Queue>,
-    pub(crate) cache: Mutex<LruCache>,
-    pub(crate) breakers: Arc<Breakers>,
+/// What every shard reads of the role it serves, replica or router.
+pub(crate) struct Front {
     pub(crate) shutdown: AtomicBool,
     pub(crate) read_timeout: Option<Duration>,
     pub(crate) write_timeout: Option<Duration>,
-    pub(crate) deadline_ms: u64,
-    pub(crate) bypass: bool,
     /// `TCP_NODELAY` on accepted sockets (see `ServeConfig::nodelay`).
     pub(crate) nodelay: bool,
+    /// One handle per event-loop shard.
+    pub(crate) shards: Vec<ShardHandle>,
+}
+
+impl Front {
+    /// The front for `seeds`; a zero timeout disables that timeout.
+    pub(crate) fn new(
+        seeds: &[evented::ShardSeed],
+        read_timeout_secs: u64,
+        write_timeout_secs: u64,
+        nodelay: bool,
+    ) -> Self {
+        let secs_opt = |secs: u64| (secs > 0).then(|| Duration::from_secs(secs));
+        Self {
+            shutdown: AtomicBool::new(false),
+            read_timeout: secs_opt(read_timeout_secs),
+            write_timeout: secs_opt(write_timeout_secs),
+            nodelay,
+            shards: seeds
+                .iter()
+                .map(|s| ShardHandle {
+                    stats: Arc::clone(&s.stats),
+                    completions: Arc::clone(&s.completions),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The request handling a shard runs: a replica's [`Inner`] or the
+/// cluster router's state. Shards are generic over it, so the replica's
+/// path is statically dispatched.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// The listener state the shards share.
+    fn front(&self) -> &Front;
+
+    /// Dispatches one parsed request without blocking. `make_reply` is
+    /// only invoked if the request is queued.
+    fn step(this: &Arc<Self>, request: &Request, make_reply: &mut dyn FnMut() -> Reply) -> Step;
+
+    /// Frames a batch worker's outcome for the request that queued it.
+    fn frame(&self, outcome: Outcome, started: Instant, cache_key: Vec<u8>) -> Response;
+}
+
+/// State shared by every shard and connection.
+pub(crate) struct Inner {
+    pub(crate) front: Front,
+    pub(crate) hub: Arc<ModelHub>,
+    pub(crate) queue: Arc<Queue>,
+    /// The control thread: reloads and rollbacks, one at a time.
+    pub(crate) control: Arc<OffLoop<()>>,
+    pub(crate) cache: Mutex<LruCache>,
+    pub(crate) breakers: Arc<Breakers>,
+    pub(crate) deadline_ms: u64,
+    pub(crate) bypass: bool,
     /// Shadow-oracle sampling pipeline; `None` when disabled.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,
     /// Canary rollout controller (inert when the split is zero and no
     /// registry is attached, but always present so dispatch is uniform).
     pub(crate) rollout: Rollout,
-    /// One handle per event-loop shard.
-    pub(crate) shards: Vec<ShardHandle>,
+}
+
+impl Handler for Inner {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn step(this: &Arc<Self>, request: &Request, make_reply: &mut dyn FnMut() -> Reply) -> Step {
+        handle_request_step(request, this, make_reply)
+    }
+
+    fn frame(&self, outcome: Outcome, started: Instant, cache_key: Vec<u8>) -> Response {
+        record_latency(started, outcome_response(outcome, cache_key, self))
+    }
 }
 
 /// A bound, ready-to-run inference server. Dropping it without calling
@@ -203,15 +275,8 @@ impl Server {
         ));
         let fallback = config.fallback_search.then(|| Arc::new(Oracle::new()));
 
-        let shards = evented::bind_shards(config)?;
+        let shards = evented::bind_shards(&config.addr, config.event_loops)?;
         let addr = shards[0].addr;
-        let shard_handles = shards
-            .iter()
-            .map(|s| ShardHandle {
-                stats: Arc::clone(&s.stats),
-                completions: Arc::clone(&s.completions),
-            })
-            .collect();
 
         let queue = Arc::new(Queue::new(config.queue_depth));
         let workers = spawn_workers(
@@ -222,23 +287,24 @@ impl Server {
             Arc::clone(&breakers),
             fallback,
         );
-        let secs_opt = |secs: u64| (secs > 0).then(|| Duration::from_secs(secs));
         Ok(Self {
             addr,
             inner: Arc::new(Inner {
+                front: Front::new(
+                    &shards,
+                    config.read_timeout_secs,
+                    config.write_timeout_secs,
+                    config.nodelay,
+                ),
                 hub,
                 queue,
+                control: OffLoop::new(CONTROL_QUEUE_DEPTH),
                 cache: Mutex::new(LruCache::new(config.cache_capacity)),
                 breakers,
-                shutdown: AtomicBool::new(false),
-                read_timeout: secs_opt(config.read_timeout_secs),
-                write_timeout: secs_opt(config.write_timeout_secs),
                 deadline_ms: config.deadline_ms,
                 bypass: config.single_query_bypass,
-                nodelay: config.nodelay,
                 shadow: crate::shadow::ShadowState::start(config)?,
                 rollout,
-                shards: shard_handles,
             }),
             workers,
             shards,
@@ -252,7 +318,7 @@ impl Server {
 
     /// Number of event-loop shards.
     pub fn event_loops(&self) -> usize {
-        self.inner.shards.len()
+        self.inner.front.shards.len()
     }
 
     /// Serves until `POST /v1/shutdown`, then drains and joins everything.
@@ -269,11 +335,13 @@ impl Server {
             shards,
             ..
         } = self;
+        let control = inner.control.spawn("serve-control", 1);
         let result = evented::run_shards(shards, &inner);
-        // The shards have exited: no new jobs, and the workers exit once
-        // the queue is empty.
+        // The shards have exited: no new jobs, and the workers and the
+        // control thread exit once their queues are empty.
         inner.queue.shutdown();
-        for handle in workers {
+        inner.control.shutdown();
+        for handle in workers.into_iter().chain(control) {
             let _ = handle.join();
         }
         // Drain the shadow pool last: in-flight oracle records land in the
@@ -307,7 +375,7 @@ pub(crate) enum Step {
 /// if the request is queued.
 pub(crate) fn handle_request_step(
     request: &Request,
-    inner: &Inner,
+    inner: &Arc<Inner>,
     make_reply: &mut dyn FnMut() -> Reply,
 ) -> Step {
     let route = match router::route(&request.method, &request.path) {
@@ -316,38 +384,76 @@ pub(crate) fn handle_request_step(
     };
     Step::Respond(match route {
         Route::Healthz => router::render_healthz(&inner.hub, &inner.breakers, Some(&inner.rollout)),
-        Route::Metrics => render_metrics_response(inner),
+        Route::Metrics => render_metrics_response(&inner.front),
         Route::Shutdown => {
-            initiate_shutdown(inner);
+            initiate_shutdown(&inner.front);
             Response::json(200, "{\"shutting_down\":true}\n".into())
         }
-        Route::Reload => reload(request, inner),
-        Route::Rollback => inner.rollout.rollback_now(),
+        Route::Reload => {
+            let (body, state) = (request.body.clone(), Arc::clone(inner));
+            return off_loop(&inner.control, make_reply, move |_| reload(&body, &state));
+        }
+        Route::Rollback => {
+            let state = Arc::clone(inner);
+            return off_loop(&inner.control, make_reply, move |_| {
+                state.rollout.rollback_now()
+            });
+        }
         Route::Recommend(case) => return recommend_step(case, request, inner, make_reply),
     })
+}
+
+/// Hands `work` to `pool` and parks the connection until its response
+/// comes back through the shard's completion queue.
+pub(crate) fn off_loop<S: Default + 'static>(
+    pool: &OffLoop<S>,
+    make_reply: &mut dyn FnMut() -> Reply,
+    work: impl FnOnce(&mut S) -> Response + Send + 'static,
+) -> Step {
+    match pool.submit(make_reply(), work) {
+        Ok(()) => Step::Queued {
+            started: Instant::now(),
+            deadline: None,
+            cache_key: Vec::new(),
+        },
+        Err(e) => Step::Respond(refused(e)),
+    }
+}
+
+/// The answer to a job a queue would not take.
+pub(crate) fn refused(e: PushError) -> Response {
+    match e {
+        PushError::Full => {
+            let mut resp =
+                Response::error(429, "queue_full", "request queue is full; retry shortly");
+            resp.retry_after = Some(1);
+            resp
+        }
+        PushError::ShuttingDown => draining(),
+    }
 }
 
 /// Starts the drain: flips the shutdown flag, then wakes every shard so
 /// none sleeps through it. This runs before the `200` is written, so a
 /// client that reads it and sends at once on a connection another shard
 /// owns is answered `503 draining`, not served.
-fn initiate_shutdown(inner: &Inner) {
-    inner.shutdown.store(true, Ordering::Release);
-    for shard in &inner.shards {
+pub(crate) fn initiate_shutdown(front: &Front) {
+    front.shutdown.store(true, Ordering::Release);
+    for shard in &front.shards {
         shard.completions.wake();
     }
 }
 
 /// `/metrics` body: the telemetry registry plus the listener's live
 /// connection accounting — an aggregate `serve.open_connections` line and
-/// per-shard `serve.shard.N.*` gauges (the same manual append pattern the
-/// cluster router uses for per-replica series).
-fn render_metrics_response(inner: &Inner) -> Response {
+/// per-shard `serve.shard.N.*` gauges (the cluster router appends its
+/// per-replica series the same way).
+pub(crate) fn render_metrics_response(front: &Front) -> Response {
     use std::fmt::Write as _;
     let mut resp = router::render_metrics();
     let mut total = 0;
     let mut shard_lines = String::new();
-    for (i, shard) in inner.shards.iter().enumerate() {
+    for (i, shard) in front.shards.iter().enumerate() {
         let open = shard.stats.open.load(Ordering::Relaxed);
         total += open;
         let _ = writeln!(shard_lines, "serve.shard.{i}.open_connections {open}");
@@ -380,7 +486,7 @@ fn render_metrics_response(inner: &Inner) -> Response {
 /// hands it to the rollout controller; without one it keeps the legacy
 /// immediate swap (in registry mode, promoting the newest unquarantined
 /// version first so the swap picks it up from `current.airm`).
-fn reload(request: &Request, inner: &Inner) -> Response {
+fn reload(body: &[u8], inner: &Inner) -> Response {
     match inner.breakers.reload.try_acquire() {
         Admit::No => {
             let mut resp = Response::error(
@@ -391,10 +497,8 @@ fn reload(request: &Request, inner: &Inner) -> Response {
             resp.retry_after = Some(1);
             resp
         }
-        Admit::Yes
-            if inner.rollout.enabled() && !crate::canary::reload_is_immediate(&request.body) =>
-        {
-            let resp = inner.rollout.stage_reload(&request.body);
+        Admit::Yes if inner.rollout.enabled() && !crate::canary::reload_is_immediate(body) => {
+            let resp = inner.rollout.stage_reload(body);
             // A stage failure counts against the breaker exactly like a
             // failed legacy reload: redeploying a corrupt artifact in a
             // loop should trip it.
@@ -408,7 +512,7 @@ fn reload(request: &Request, inner: &Inner) -> Response {
             // registered paths. A failure still counts against the
             // breaker — an operator redeploying a corrupt model in a loop
             // should trip it.
-            let resp = inner.rollout.immediate_reload(&request.body);
+            let resp = inner.rollout.immediate_reload(body);
             inner.breakers.reload.record(resp.status == 200);
             resp
         }
@@ -464,7 +568,7 @@ fn recommend_step(
         effective_deadline(inner.deadline_ms, request.deadline_ms).map(|budget| started + budget);
     // Admission-time checks: a draining server or an already-expired
     // budget (`X-Deadline-Ms: 0`) answers before any work is queued.
-    if inner.shutdown.load(Ordering::Acquire) {
+    if inner.front.shutdown.load(Ordering::Acquire) {
         return respond(draining());
     }
     if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -585,13 +689,7 @@ fn recommend_step(
             deadline,
             cache_key: parsed.cache_key,
         },
-        Err(PushError::Full) => {
-            let mut resp =
-                Response::error(429, "queue_full", "request queue is full; retry shortly");
-            resp.retry_after = Some(1);
-            respond(resp)
-        }
-        Err(PushError::ShuttingDown) => respond(draining()),
+        Err(e) => respond(refused(e)),
     }
 }
 

@@ -1,26 +1,34 @@
-//! The cluster router: accepts client connections, consistent-hashes
-//! recommendation requests across healthy replicas, and absorbs replica
-//! failure so clients never see it.
+//! The cluster router: consistent-hashes recommendation requests across
+//! healthy replicas, and absorbs replica failure so clients never see it.
+//!
+//! The router is served by the same event-loop shards as a replica
+//! (`crate::evented`), with [`ProxyInner`] as their [`Handler`]. Work that
+//! waits on a replica runs off the loop and answers through the shard's
+//! completion queue, so the shard never blocks: forwarded recommends on
+//! `max_inflight` forwarding threads per replica (an [`OffLoop`]), each
+//! keeping its own keep-alive connection per replica; reloads, rollouts
+//! and rollbacks on one control thread, as on a replica.
 //!
 //! Per request the router walks the ring's failover order:
 //!
 //! 1. **Selection** — the canonical cache key from
-//!    [`router::parse_recommend`] is hashed onto the [`Ring`]; malformed
-//!    bodies are answered `400` locally and never consume fleet capacity.
-//! 2. **Admission** — a replica over its in-flight cap or with an open
-//!    outbound breaker is skipped (counted as a failover).
-//! 3. **Hedging** — on the primary attempt, if no response arrives within
-//!    the hedge delay (fixed `--hedge-ms`, or derived from the rolling
-//!    p99 backend latency), a duplicate is fired at the next replica and
-//!    the first answer wins. Recommends are idempotent, so a duplicated
-//!    request is wasted work at worst.
-//! 4. **Failover** — a transport error or 5xx moves to the next distinct
-//!    replica; a delivered non-5xx answer is returned as-is with an
-//!    `X-Replica` header naming the replica that produced it.
+//!    [`router::parse_recommend`] is hashed onto the ring; malformed
+//!    bodies are answered `400` on the shard and never consume fleet
+//!    capacity.
+//! 2. **Admission** — a full forwarding queue answers `429` with
+//!    `Retry-After`; a replica holding its `max_inflight` requests (its
+//!    share of the forwarding threads) or with an open outbound breaker is
+//!    skipped (counted as a failover), so a stalled replica holds only its
+//!    share. When every replica left is at its cap, the request waits for
+//!    one of them to finish a request, within the backend budget.
+//! 3. **Failover** — a transport error, a 5xx, or no answer within the
+//!    backend budget moves to the next distinct replica; a delivered
+//!    non-5xx answer is returned as-is with an `X-Replica` header naming
+//!    the replica that produced it.
 //!
-//! `/healthz` and `/metrics` are answered by the router itself with
-//! fleet-level aggregation; `/v1/shutdown` drains the router, then the
-//! supervisor drains the children.
+//! `/healthz`, `/metrics` and `/v1/shutdown` are answered on the shard,
+//! with fleet-level aggregation; `/v1/shutdown` drains the router, then
+//! the supervisor drains the children.
 //!
 //! `/v1/reload` depends on the deployment: without a registry it
 //! broadcasts to every live replica (legacy fan-out); with `--model-dir`
@@ -35,449 +43,157 @@
 //! settles split across two versions.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use airchitect::model::CaseStudy;
 use airchitect_telemetry::json::{self, Value};
 use airchitect_telemetry::metrics;
 
+use crate::batch::{OffLoop, Outcome, Reply};
 use crate::breaker::Admit;
-use crate::client::RetryClient;
-use crate::http::{self, read_request, write_response, ReadError, Request, Response};
-use crate::listener::MAX_ACCEPT_ERRORS;
+use crate::client::{ClientResponse, HttpClient, RetryClient};
+use crate::http::{self, Request, Response};
+use crate::listener::evented::{bind_shards, run_shards, ShardSeed};
+use crate::listener::{
+    initiate_shutdown, off_loop, render_metrics_response, Front, Handler, Step, CONTROL_QUEUE_DEPTH,
+};
 use crate::registry::{Registry, RegistryError, DEFAULT_RETAIN};
 use crate::router::{self, Route};
 use crate::supervisor::{fleet_status, ClusterConfig, Fleet, ReplicaSlot, Supervisor};
 use crate::{ServeConfig, ServeError};
 
-/// Hard cap on a proxied response (head + body) the router will buffer.
+/// Hard cap on a proxied response (head + body) the router will buffer:
+/// a replica is another process.
 const MAX_PROXIED_BYTES: usize = http::MAX_BODY_BYTES + 64 * 1024;
 
-/// Latency samples kept for the rolling p99.
-const LATENCY_WINDOW: usize = 512;
-/// Samples required before auto-hedging switches on.
-const LATENCY_WARMUP: usize = 64;
+/// The largest `max_inflight`: each in-flight place is a forwarding
+/// thread.
+const MAX_INFLIGHT: u64 = 256;
 
-// ---------------------------------------------------------------------
-// Backend response parsing (resumable, for hedging)
-// ---------------------------------------------------------------------
+/// Forwards the queue holds per replica before answering `429`: as many as
+/// a replica's own default batch queue (`--queue-depth`).
+const QUEUED_PER_REPLICA: usize = 256;
 
-/// A backend replica's parsed response, ready for passthrough.
-#[derive(Debug, Clone)]
-struct RawResponse {
-    status: u16,
-    content_type: String,
-    retry_after: Option<u64>,
-    warning: Option<String>,
-    body: String,
-}
+/// One forwarding thread's keep-alive replica connections, by replica
+/// id, each with the address it was opened to (a restarted replica
+/// listens on a new port).
+type Backends = HashMap<u32, (SocketAddr, HttpClient)>;
 
-/// One step of a bounded-wait read: either a complete response or "still
-/// pending, buffer retained" (the hedging trigger).
-enum ReadStep {
-    Ready(RawResponse),
-    Pending,
-}
-
-/// A router→replica connection with a resumable response parser: a read
-/// that times out keeps its partial bytes, so the caller can fire a hedge
-/// and keep waiting on the same connection from another thread.
-struct BackendConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl BackendConn {
-    fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn send(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        deadline_ms: Option<u64>,
-    ) -> std::io::Result<()> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: airchitect-router\r\nConnection: keep-alive\r\nContent-Length: {}\r\n",
-            body.len()
-        );
-        if let Some(ms) = deadline_ms {
-            head.push_str(&format!("X-Deadline-Ms: {ms}\r\n"));
-        }
-        head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()
-    }
-
-    /// Reads toward one complete response for up to `wait`. `Pending`
-    /// keeps the partial buffer; call again (possibly from another
-    /// thread) to continue the same response.
-    fn read_step(&mut self, wait: Duration) -> std::io::Result<ReadStep> {
-        let deadline = Instant::now() + wait;
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(resp) = try_parse_response(&mut self.buf)? {
-                return Ok(ReadStep::Ready(resp));
-            }
-            if self.buf.len() > MAX_PROXIED_BYTES {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "replica response too large",
-                ));
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(ReadStep::Pending);
-            }
-            self.stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "replica closed mid-response",
-                    ))
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(ReadStep::Pending)
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Tries to parse one complete response from `buf`, draining the
-/// consumed bytes on success (keep-alive reuse sees a clean buffer).
-fn try_parse_response(buf: &mut Vec<u8>) -> std::io::Result<Option<RawResponse>> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-UTF-8 head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad("bad replica status line"))?;
-    let mut content_length: Option<usize> = None;
-    let mut content_type = String::from("application/json");
-    let mut retry_after = None;
-    let mut warning = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(value.parse().map_err(|_| bad("bad Content-Length"))?);
-        } else if name.eq_ignore_ascii_case("content-type") {
-            content_type = value.to_string();
-        } else if name.eq_ignore_ascii_case("retry-after") {
-            retry_after = value.parse().ok();
-        } else if name.eq_ignore_ascii_case("warning") {
-            warning = Some(value.to_string());
-        }
-    }
-    let content_length = content_length.ok_or_else(|| bad("replica sent no Content-Length"))?;
-    let total = head_end + 4 + content_length;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let body = String::from_utf8(buf[head_end + 4..total].to_vec())
-        .map_err(|_| bad("non-UTF-8 replica body"))?;
-    buf.drain(..total);
-    Ok(Some(RawResponse {
-        status,
-        content_type,
-        retry_after,
-        warning,
-        body,
-    }))
-}
-
-// ---------------------------------------------------------------------
-// Rolling latency estimate for the hedge delay
-// ---------------------------------------------------------------------
-
-struct LatencyState {
-    samples: Vec<u64>,
-    next: usize,
-    count: u64,
-    cached_p99_us: u64,
-}
-
-/// Rolling window of backend latencies; p99 is recomputed lazily (every
-/// [`LATENCY_WARMUP`] inserts) so the hot path is one lock + one store.
-struct LatencyEstimator {
-    state: Mutex<LatencyState>,
-}
-
-impl LatencyEstimator {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(LatencyState {
-                samples: Vec::with_capacity(LATENCY_WINDOW),
-                next: 0,
-                count: 0,
-                cached_p99_us: 0,
-            }),
-        }
-    }
-
-    fn record(&self, us: u64) {
-        let mut s = self.state.lock().expect("latency lock poisoned");
-        if s.samples.len() < LATENCY_WINDOW {
-            s.samples.push(us);
-        } else {
-            let at = s.next;
-            s.samples[at] = us;
-        }
-        s.next = (s.next + 1) % LATENCY_WINDOW;
-        s.count += 1;
-        if s.count.is_multiple_of(LATENCY_WARMUP as u64) {
-            let mut sorted = s.samples.clone();
-            sorted.sort_unstable();
-            let idx = (sorted.len().saturating_sub(1)) * 99 / 100;
-            s.cached_p99_us = sorted[idx];
-        }
-    }
-
-    /// The rolling p99 in microseconds, once warmed up.
-    fn p99_us(&self) -> Option<u64> {
-        let s = self.state.lock().expect("latency lock poisoned");
-        (s.count >= LATENCY_WARMUP as u64).then_some(s.cached_p99_us)
-    }
-}
-
-/// The hedge delay: fixed when configured, otherwise the rolling p99
-/// clamped to [1ms, 250ms] (no hedging until the estimator warms up, so
-/// a cold router never duplicates blindly).
-fn hedge_delay(cfg: &ClusterConfig, latency: &LatencyEstimator) -> Option<Duration> {
-    if cfg.hedge_ms > 0 {
-        return Some(Duration::from_millis(cfg.hedge_ms));
-    }
-    latency
-        .p99_us()
-        .map(|p99| Duration::from_micros(p99.clamp(1_000, 250_000)))
-}
-
-// ---------------------------------------------------------------------
-// Router
-// ---------------------------------------------------------------------
-
+/// The router's state, shared by its shards and its off-loop threads.
 struct ProxyInner {
+    front: Front,
     fleet: Arc<Fleet>,
     cfg: ClusterConfig,
-    latency: LatencyEstimator,
-    shutdown: AtomicBool,
+    /// Forwarded recommends: `max_inflight` threads per replica.
+    forward: Arc<OffLoop<Backends>>,
+    /// Where a forward waits while every replica it may use is at its cap.
+    room: Room,
+    /// The control thread: reloads, rollouts and rollbacks, one at a time.
+    control: Arc<OffLoop<()>>,
     /// The shared model registry (`--model-dir` deployments only).
     registry: Option<Mutex<Registry>>,
-    /// Serializes rollouts: a second `/v1/reload` while one is in flight
-    /// answers `409` instead of interleaving canaries.
-    rollout_lock: Mutex<()>,
+    /// Set while a registry rollout or rollback is queued or running: a
+    /// second one answers `409` instead of interleaving canaries.
+    rollout_busy: AtomicBool,
     /// The last version a rolling rollout promoted — the fleet-wide
     /// `/v1/rollback` target.
     last_promoted: Mutex<Option<u64>>,
 }
 
-/// The bound cluster router. [`Router::run`] owns the accept loop; it
-/// returns after `POST /v1/shutdown`.
-pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
-    inner: Arc<ProxyInner>,
-}
-
-impl Router {
-    /// Binds the router socket in front of `fleet`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when the bind fails.
-    pub fn bind(cfg: &ClusterConfig, fleet: Arc<Fleet>) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| ServeError::Io(format!("bind {}: {e}", cfg.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-        let registry = match &cfg.model_dir {
-            Some(dir) => Some(Mutex::new(
-                Registry::open(dir, DEFAULT_RETAIN)
-                    .map_err(|e| ServeError::Config(format!("--model-dir: {e}")))?,
-            )),
-            None => None,
-        };
-        Ok(Self {
-            listener,
-            addr,
-            inner: Arc::new(ProxyInner {
-                fleet,
-                cfg: cfg.clone(),
-                latency: LatencyEstimator::new(),
-                shutdown: AtomicBool::new(false),
-                registry,
-                rollout_lock: Mutex::new(()),
-                last_promoted: Mutex::new(None),
-            }),
-        })
+impl Handler for ProxyInner {
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    /// The bound router address.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Serves until `POST /v1/shutdown`, then joins every connection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] only for accept-loop failures.
-    pub fn run(self) -> Result<(), ServeError> {
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        let mut accept_errors = 0u32;
-        loop {
-            // The closure gives the failpoint's injected error an early
-            // return target without leaving the loop.
-            #[allow(clippy::redundant_closure_call)]
-            let attempt = (|| {
-                airchitect_chaos::fail_point!("cluster.proxy.accept", Err);
-                self.listener.accept()
-            })();
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                break; // the wake-up connection, or a failure while draining
-            }
-            let stream = match attempt {
-                Ok((stream, _)) => {
-                    accept_errors = 0;
-                    stream
-                }
-                // Transient failures back off and retry (pending
-                // connections stay in the kernel backlog); a persistent
-                // streak errors out.
-                Err(e) => {
-                    accept_errors += 1;
-                    if accept_errors > MAX_ACCEPT_ERRORS {
-                        return Err(ServeError::Io(format!("accept: {e}")));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            let inner = Arc::clone(&self.inner);
-            connections.retain(|h| !h.is_finished());
-            connections.push(
-                std::thread::Builder::new()
-                    .name("router-conn".into())
-                    .spawn(move || handle_proxy_connection(stream, &inner))
-                    .expect("spawn router connection thread"),
-            );
-        }
-        for handle in connections {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-}
-
-fn initiate_shutdown(inner: &ProxyInner, addr: SocketAddr) {
-    inner.shutdown.store(true, Ordering::Release);
-    let _ = TcpStream::connect(addr);
-}
-
-fn handle_proxy_connection(stream: TcpStream, inner: &ProxyInner) {
-    let secs_opt = |secs: u64| (secs > 0).then(|| Duration::from_secs(secs));
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(secs_opt(inner.cfg.read_timeout_secs));
-    let _ = stream.set_write_timeout(secs_opt(inner.cfg.write_timeout_secs));
-    let local = match stream.local_addr() {
-        Ok(a) => a,
-        Err(_) => return,
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = std::io::BufReader::new(stream);
-    // Pooled keep-alive connections to the replicas, scoped per client
-    // connection (thread) so they need no locking.
-    let mut pool: HashMap<u32, BackendConn> = HashMap::new();
-    loop {
-        let request = match read_request(&mut reader) {
+    fn step(this: &Arc<Self>, request: &Request, make_reply: &mut dyn FnMut() -> Reply) -> Step {
+        let route = match router::route(&request.method, &request.path) {
             Ok(r) => r,
-            Err(ReadError::Closed | ReadError::TimedOut | ReadError::Io(_)) => return,
-            Err(ReadError::Bad { status, reason }) => {
-                let resp = Response::error(status, "bad_request", &reason);
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
+            Err(resp) => return Step::Respond(resp),
         };
-        let (response, wants_shutdown) = dispatch(&request, inner, &mut pool);
-        let draining = wants_shutdown || inner.shutdown.load(Ordering::Acquire);
-        let keep_alive = request.keep_alive && !draining;
-        // Drop the client connection as if the write failed (chaos only).
-        airchitect_chaos::fail_point!("cluster.proxy.write", |_e: std::io::Error| ());
-        if write_response(&mut writer, &response, keep_alive).is_err() {
-            return;
+        match route {
+            Route::Healthz => Step::Respond(render_fleet_healthz(&this.fleet)),
+            Route::Metrics => Step::Respond(render_cluster_metrics(this)),
+            Route::Shutdown => {
+                initiate_shutdown(&this.front);
+                Step::Respond(Response::json(200, "{\"shutting_down\":true}\n".into()))
+            }
+            Route::Reload | Route::Rollback => control_step(this, &route, request, make_reply),
+            Route::Recommend(case) => {
+                if this.front.shutdown.load(Ordering::Acquire) {
+                    let mut resp = Response::error(503, "draining", "router is shutting down");
+                    resp.retry_after = Some(1);
+                    return Step::Respond(resp);
+                }
+                metrics::CLUSTER_PROXY_REQUESTS.inc();
+                // Validate on the shard: bad requests are answered here and
+                // never spend a replica's time; the canonical cache key
+                // doubles as the ring key, giving each replica's response
+                // cache a stable shard of the space.
+                let parsed = match router::parse_recommend(case, &request.body) {
+                    Ok(p) => p,
+                    Err(resp) => return Step::Respond(resp),
+                };
+                let req = ForwardReq {
+                    key: parsed.cache_key,
+                    path: request.path.clone(),
+                    body: String::from_utf8_lossy(&request.body).into_owned(),
+                    deadline_ms: request.deadline_ms,
+                };
+                let inner = Arc::clone(this);
+                off_loop(&this.forward, make_reply, move |backends| {
+                    forward_recommend(&inner, backends, &req)
+                })
+            }
         }
-        if wants_shutdown {
-            initiate_shutdown(inner, local);
-        }
-        if !keep_alive {
-            return;
-        }
+    }
+
+    fn frame(&self, _: Outcome, _: Instant, _: Vec<u8>) -> Response {
+        unreachable!("the router queues no batch jobs")
     }
 }
 
-fn dispatch(
+/// Queues a reload or rollback on the control thread. With a registry it
+/// is a rollout or a fleet rollback, and only one runs at a time: another
+/// arriving meanwhile answers `409` on the shard.
+fn control_step(
+    this: &Arc<ProxyInner>,
+    route: &Route,
     request: &Request,
-    inner: &ProxyInner,
-    pool: &mut HashMap<u32, BackendConn>,
-) -> (Response, bool) {
-    let route = match router::route(&request.method, &request.path) {
-        Ok(r) => r,
-        Err(resp) => return (resp, false),
-    };
-    match route {
-        Route::Healthz => (render_fleet_healthz(&inner.fleet), false),
-        Route::Metrics => (render_cluster_metrics(&inner.fleet), false),
-        Route::Shutdown => (
-            Response::json(200, "{\"shutting_down\":true}\n".into()),
-            true,
-        ),
-        Route::Reload => (rolling_reload(request, inner), false),
-        Route::Rollback => (fleet_rollback(inner), false),
-        Route::Recommend(case) => {
-            if inner.shutdown.load(Ordering::Acquire) {
-                let mut resp = Response::error(503, "draining", "router is shutting down");
-                resp.retry_after = Some(1);
-                return (resp, false);
-            }
-            (forward_recommend(case, request, inner, pool), false)
+    make_reply: &mut dyn FnMut() -> Reply,
+) -> Step {
+    let exclusive = this.registry.is_some();
+    if exclusive && this.rollout_busy.swap(true, Ordering::AcqRel) {
+        return Step::Respond(Response::error(
+            409,
+            "rollout_in_progress",
+            "a rolling rollout is already running",
+        ));
+    }
+    let (inner, body) = (Arc::clone(this), request.body.clone());
+    let reload = matches!(route, Route::Reload);
+    let step = off_loop(&this.control, make_reply, move |()| {
+        // Cleared however the step ends, a panic included.
+        let _done = exclusive.then(|| Release(&inner.rollout_busy));
+        if reload {
+            rolling_reload(&body, &inner)
+        } else {
+            fleet_rollback(&inner)
         }
+    });
+    if exclusive && matches!(step, Step::Respond(_)) {
+        this.rollout_busy.store(false, Ordering::Release);
+    }
+    step
+}
+
+/// Clears a flag when dropped.
+struct Release<'a>(&'a AtomicBool);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
     }
 }
 
@@ -524,11 +240,11 @@ fn render_fleet_healthz(fleet: &Fleet) -> Response {
     Response::json(200, body)
 }
 
-/// The registry snapshot plus per-replica gauge lines
-/// (`cluster.replica.N.healthy` and friends).
-fn render_cluster_metrics(fleet: &Fleet) -> Response {
-    let mut resp = router::render_metrics();
-    for v in fleet.views() {
+/// The registry snapshot and the listener's connection lines, plus
+/// per-replica gauge lines (`cluster.replica.N.healthy` and friends).
+fn render_cluster_metrics(inner: &ProxyInner) -> Response {
+    let mut resp = render_metrics_response(&inner.front);
+    for v in inner.fleet.views() {
         let id = v.id;
         resp.body.push_str(&format!(
             "cluster.replica.{id}.healthy {}\n",
@@ -536,8 +252,6 @@ fn render_cluster_metrics(fleet: &Fleet) -> Response {
         ));
         resp.body
             .push_str(&format!("cluster.replica.{id}.restarts_total {}\n", v.restarts_total));
-        resp.body
-            .push_str(&format!("cluster.replica.{id}.hedges_fired {}\n", v.hedges_fired));
         resp.body.push_str(&format!(
             "cluster.replica.{id}.failovers_total {}\n",
             v.failovers_total
@@ -669,20 +383,13 @@ fn roll_fleet_back(inner: &ProxyInner, version: u64, detail: &str) -> Response {
 /// The optional body `{"path": "..."}` registers the named artifact as a
 /// new version first (the curl-driven deploy path); otherwise the newest
 /// unpromoted registry version is rolled out.
-fn rolling_reload(request: &Request, inner: &ProxyInner) -> Response {
+fn rolling_reload(body: &[u8], inner: &ProxyInner) -> Response {
     let Some(registry) = &inner.registry else {
         // Legacy fan-out for registry-less clusters.
         return broadcast_reload(inner);
     };
-    let Ok(_rollout) = inner.rollout_lock.try_lock() else {
-        return Response::error(
-            409,
-            "rollout_in_progress",
-            "a rolling rollout is already running",
-        );
-    };
     // Optional body: register a fresh artifact as the candidate version.
-    let explicit_path = match parse_router_reload_body(&request.body) {
+    let explicit_path = match parse_router_reload_body(body) {
         Ok(p) => p,
         Err(resp) => return resp,
     };
@@ -823,13 +530,6 @@ fn fleet_rollback(inner: &ProxyInner) -> Response {
             "rollback requires a registry (--model-dir) deployment",
         );
     };
-    let Ok(_rollout) = inner.rollout_lock.try_lock() else {
-        return Response::error(
-            409,
-            "rollout_in_progress",
-            "a rolling rollout is already running",
-        );
-    };
     let reverted = inner
         .last_promoted
         .lock()
@@ -902,32 +602,20 @@ fn parse_router_reload_body(body: &[u8]) -> Result<Option<std::path::PathBuf>, R
 }
 
 // ---------------------------------------------------------------------
-// Recommend forwarding: failover + hedging
+// Recommend forwarding: failover
 // ---------------------------------------------------------------------
 
-/// Everything a forwarding thread needs to (re)issue the request.
-#[derive(Clone)]
+/// Everything a forwarding thread needs to issue the request.
 struct ForwardReq {
+    /// The ring key (the parsed request's cache key).
+    key: Vec<u8>,
     path: String,
     body: String,
     deadline_ms: Option<u64>,
 }
 
-fn forward_recommend(
-    case: CaseStudy,
-    request: &Request,
-    inner: &ProxyInner,
-    pool: &mut HashMap<u32, BackendConn>,
-) -> Response {
-    metrics::CLUSTER_PROXY_REQUESTS.inc();
-    // Validate locally: bad requests are answered here and never spend a
-    // replica's time; the canonical cache key doubles as the ring key,
-    // giving each replica's response cache a stable shard of the space.
-    let parsed = match router::parse_recommend(case, &request.body) {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
-    let candidates = inner.fleet.ordered(&parsed.cache_key, inner.fleet.total());
+fn forward_recommend(inner: &ProxyInner, backends: &mut Backends, req: &ForwardReq) -> Response {
+    let mut candidates = inner.fleet.ordered(&req.key, inner.fleet.total());
     if candidates.is_empty() {
         let mut resp = Response::error(
             503,
@@ -937,73 +625,70 @@ fn forward_recommend(
         resp.retry_after = Some(1);
         return resp;
     }
-    let req = ForwardReq {
-        path: request.path.clone(),
-        body: String::from_utf8_lossy(&request.body).into_owned(),
-        deadline_ms: request.deadline_ms,
-    };
+    let cap = inner.cfg.max_inflight;
     let budget = Duration::from_millis(inner.cfg.backend_timeout_ms.max(1));
     let started = Instant::now();
     let mut last_response: Option<Response> = None;
 
-    for (i, &id) in candidates.iter().enumerate() {
-        if i > 0 {
-            metrics::CLUSTER_FAILOVERS.inc();
-        }
-        let Some(slot) = inner.fleet.slot(id) else { continue };
-        // In-flight cap first (no breaker state is consumed by a skip)...
-        if slot.inflight.fetch_add(1, Ordering::AcqRel) >= inner.cfg.max_inflight {
-            slot.inflight.fetch_sub(1, Ordering::AcqRel);
-            slot.failovers_total.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        // ...then the outbound breaker (an admitted half-open probe is
-        // always followed by a `record`).
-        if slot.breaker.try_acquire() == Admit::No {
-            slot.inflight.fetch_sub(1, Ordering::AcqRel);
-            slot.failovers_total.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let Some(addr) = inner.fleet.replica_addr(id) else {
-            slot.breaker.record(false);
-            slot.inflight.fetch_sub(1, Ordering::AcqRel);
-            continue;
-        };
-        // Hedge only on the primary attempt; later attempts already are
-        // the hedge's failover cousins.
-        let hedge = if i == 0 {
-            hedge_delay(&inner.cfg, &inner.latency).and_then(|delay| {
-                let target = candidates.get(1).copied()?;
-                let target_slot = inner.fleet.slot(target)?;
-                let target_addr = inner.fleet.replica_addr(target)?;
-                Some((delay, target, target_addr, Arc::clone(target_slot)))
-            })
-        } else {
-            None
-        };
-        let result = attempt_replica(pool, id, addr, slot, &req, hedge, budget);
-        slot.inflight.fetch_sub(1, Ordering::AcqRel);
-        match result {
-            Ok((raw, from)) => {
-                let backend_ok = raw.status < 500;
-                // The breaker grades the *attempt*: a hedge win still
-                // means this route produced an answer in budget.
-                slot.breaker.record(backend_ok);
-                if backend_ok {
-                    let us = started.elapsed().as_micros() as u64;
-                    metrics::CLUSTER_BACKEND_US.record(us);
-                    inner.latency.record(us);
-                    return proxied_response(&raw, from);
+    // A replica skipped for its cap again after a wait is not counted
+    // again as a failover.
+    let mut first_walk = true;
+    loop {
+        // Replicas skipped because they hold their cap of requests.
+        let mut full = Vec::new();
+        for (i, &id) in candidates.iter().enumerate() {
+            if i > 0 && first_walk {
+                metrics::CLUSTER_FAILOVERS.inc();
+            }
+            let Some(slot) = inner.fleet.slot(id) else { continue };
+            // In-flight cap first (no breaker state is consumed by a skip)...
+            if !Room::enter(slot, cap) {
+                if first_walk {
+                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
                 }
-                slot.failovers_total.fetch_add(1, Ordering::Relaxed);
-                last_response = Some(proxied_response(&raw, from));
+                full.push(id);
+                continue;
             }
-            Err(_) => {
-                slot.breaker.record(false);
+            // ...then the outbound breaker (an admitted half-open probe is
+            // always followed by a `record`).
+            if slot.breaker.try_acquire() == Admit::No {
+                inner.room.leave(slot);
                 slot.failovers_total.fetch_add(1, Ordering::Relaxed);
-                pool.remove(&id);
+                continue;
+            }
+            let Some(addr) = inner.fleet.replica_addr(id) else {
+                slot.breaker.record(false);
+                inner.room.leave(slot);
+                continue;
+            };
+            let result = attempt_replica(backends, id, addr, req, budget);
+            inner.room.leave(slot);
+            match result {
+                Ok(answer) => {
+                    let backend_ok = answer.status < 500;
+                    slot.breaker.record(backend_ok);
+                    if backend_ok {
+                        metrics::CLUSTER_BACKEND_US.record(started.elapsed().as_micros() as u64);
+                        return proxied_response(answer, id);
+                    }
+                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                    last_response = Some(proxied_response(answer, id));
+                }
+                Err(_) => {
+                    slot.breaker.record(false);
+                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
+        // Those busy replicas are the ones left: wait for one of them to
+        // finish a request rather than refuse this one.
+        let until = started + budget;
+        if full.is_empty() || Instant::now() >= until {
+            break;
+        }
+        inner.room.wait(&inner.fleet, &full, cap, until);
+        candidates = full;
+        first_walk = false;
     }
     last_response.unwrap_or_else(|| {
         let mut resp = Response::error(
@@ -1016,149 +701,83 @@ fn forward_recommend(
     })
 }
 
-type HedgePlan = (Duration, u32, SocketAddr, Arc<ReplicaSlot>);
+/// The replicas' in-flight places: each replica takes at most `cap` of
+/// the router's requests at a time, and a forwarding thread that finds
+/// every replica it may use full sleeps here until one gives a place back.
+#[derive(Default)]
+struct Room {
+    lock: Mutex<()>,
+    freed: Condvar,
+    /// Threads inside [`Room::wait`].
+    waiting: AtomicUsize,
+}
 
-/// One routed attempt: send on a pooled (or fresh) connection, wait up
-/// to the hedge delay, and race a duplicate if the primary is slow.
+impl Room {
+    /// Takes one of `slot`'s `cap` places, if one is free.
+    fn enter(slot: &ReplicaSlot, cap: u64) -> bool {
+        slot.inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Gives back a place [`Room::enter`] took, waking any waiter.
+    fn leave(&self, slot: &ReplicaSlot) {
+        slot.inflight.fetch_sub(1, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock().expect("room lock poisoned");
+            self.freed.notify_all();
+        }
+    }
+
+    /// Sleeps until one of `ids` may have a free place, or `until`.
+    fn wait(&self, fleet: &Fleet, ids: &[u32], cap: u64, until: Instant) {
+        let guard = self.lock.lock().expect("room lock poisoned");
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        // Looked at after announcing the wait: a `leave` either shows here
+        // or sees the waiter and notifies under the lock.
+        let full = ids
+            .iter()
+            .filter_map(|&id| fleet.slot(id))
+            .all(|s| s.inflight.load(Ordering::SeqCst) >= cap);
+        if full {
+            let timeout = until.saturating_duration_since(Instant::now());
+            drop(self.freed.wait_timeout(guard, timeout));
+        } else {
+            drop(guard);
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One routed attempt on this thread's connection to replica `id`
+/// (opened afresh when missing or opened to an older address). A failed
+/// connection is dropped, not pooled.
 fn attempt_replica(
-    pool: &mut HashMap<u32, BackendConn>,
+    backends: &mut Backends,
     id: u32,
     addr: SocketAddr,
-    slot: &Arc<ReplicaSlot>,
     req: &ForwardReq,
-    hedge: Option<HedgePlan>,
     budget: Duration,
-) -> std::io::Result<(RawResponse, u32)> {
+) -> std::io::Result<ClientResponse> {
     // Simulated backend read failure (chaos only): exercises failover.
     airchitect_chaos::fail_point!("cluster.proxy.read", Err);
-    let deadline = Instant::now() + budget;
-    let mut conn = match pool.remove(&id) {
-        Some(c) => c,
-        None => BackendConn::connect(addr, budget)?,
+    let mut client = match backends.remove(&id) {
+        Some((at, client)) if at == addr => client,
+        _ => HttpClient::connect(addr, budget)?,
     };
-    conn.send("POST", &req.path, &req.body, req.deadline_ms)?;
-    let first_wait = hedge
-        .as_ref()
-        .map_or(budget, |(delay, ..)| (*delay).min(budget));
-    match conn.read_step(first_wait)? {
-        ReadStep::Ready(raw) => {
-            pool.insert(id, conn);
-            Ok((raw, id))
-        }
-        ReadStep::Pending => {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let Some((_, target_id, target_addr, target_slot)) = hedge else {
-                // No hedge available: keep waiting out the budget on the
-                // same connection.
-                return match conn.read_step(remaining)? {
-                    ReadStep::Ready(raw) => {
-                        pool.insert(id, conn);
-                        Ok((raw, id))
-                    }
-                    ReadStep::Pending => Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "replica exceeded the backend budget",
-                    )),
-                };
-            };
-            metrics::CLUSTER_HEDGES_FIRED.inc();
-            slot.hedges_fired.fetch_add(1, Ordering::Relaxed);
-            race_hedge(conn, id, target_id, target_addr, target_slot, req, remaining)
-        }
-    }
+    let answer = client.forward(&req.path, &req.body, req.deadline_ms, MAX_PROXIED_BYTES)?;
+    backends.insert(id, (addr, client));
+    Ok(answer)
 }
 
-/// First answer wins: the slow primary keeps reading on one thread while
-/// a duplicate runs against `target` on another. Loser connections are
-/// dropped, not pooled — hedges are tail-rare by construction.
-fn race_hedge(
-    mut primary: BackendConn,
-    primary_id: u32,
-    target_id: u32,
-    target_addr: SocketAddr,
-    target_slot: Arc<ReplicaSlot>,
-    req: &ForwardReq,
-    remaining: Duration,
-) -> std::io::Result<(RawResponse, u32)> {
-    let deadline = Instant::now() + remaining;
-    let (tx, rx) = mpsc::channel::<(u32, std::io::Result<RawResponse>)>();
-    {
-        let tx = tx.clone();
-        let _ = std::thread::Builder::new()
-            .name("hedge-primary".into())
-            .spawn(move || {
-                let result = primary.read_step(remaining).and_then(|step| match step {
-                    ReadStep::Ready(raw) => Ok(raw),
-                    ReadStep::Pending => Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "primary exceeded the backend budget",
-                    )),
-                });
-                let _ = tx.send((primary_id, result));
-            });
-    }
-    {
-        let req = req.clone();
-        let _ = std::thread::Builder::new()
-            .name("hedge-duplicate".into())
-            .spawn(move || {
-                target_slot.inflight.fetch_add(1, Ordering::AcqRel);
-                let result = BackendConn::connect(target_addr, remaining)
-                    .and_then(|mut c| {
-                        c.send("POST", &req.path, &req.body, req.deadline_ms)?;
-                        Ok(c)
-                    })
-                    .and_then(|mut c| match c.read_step(remaining)? {
-                        ReadStep::Ready(raw) => Ok(raw),
-                        ReadStep::Pending => Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "hedge exceeded the backend budget",
-                        )),
-                    });
-                target_slot.breaker.record(
-                    result.as_ref().map(|r| r.status < 500).unwrap_or(false),
-                );
-                target_slot.inflight.fetch_sub(1, Ordering::AcqRel);
-                let _ = tx.send((target_id, result));
-            });
-    }
-    let mut first_err: Option<std::io::Error> = None;
-    loop {
-        let wait = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok((id, Ok(raw))) => {
-                if id != primary_id {
-                    metrics::CLUSTER_HEDGE_WINS.inc();
-                }
-                return Ok((raw, id));
-            }
-            Ok((_, Err(e))) => match first_err.take() {
-                // Both legs failed: surface the first error.
-                Some(first) => return Err(first),
-                None => first_err = Some(e),
-            },
-            Err(_) => {
-                return Err(first_err.unwrap_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "hedged request pair exceeded the backend budget",
-                    )
-                }))
-            }
-        }
-    }
-}
-
-/// Rebuilds a backend answer as a client response, annotated with the
+/// Rebuilds a replica's answer as a client response, annotated with the
 /// replica that produced it.
-fn proxied_response(raw: &RawResponse, from: u32) -> Response {
-    let mut resp = if raw.content_type.starts_with("text/plain") {
-        Response::text(raw.status, raw.body.clone())
-    } else {
-        Response::json(raw.status, raw.body.clone())
-    };
-    resp.retry_after = raw.retry_after;
-    resp.warning = raw.warning.clone();
+fn proxied_response(answer: ClientResponse, from: u32) -> Response {
+    let mut resp = Response::json(answer.status, answer.body);
+    resp.retry_after = answer.retry_after;
+    resp.warning = answer.warning;
     resp.extra.push(("X-Replica".into(), from.to_string()));
     resp
 }
@@ -1171,9 +790,9 @@ fn proxied_response(raw: &RawResponse, from: u32) -> Response {
 /// router. [`Cluster::run`] blocks until shutdown; tests and the bench
 /// drive it from a thread via [`Cluster::fleet`] and the HTTP API.
 pub struct Cluster {
-    supervisor: Option<Supervisor>,
-    router: Option<Router>,
-    fleet: Arc<Fleet>,
+    supervisor: Supervisor,
+    inner: Arc<ProxyInner>,
+    shards: Vec<ShardSeed>,
     addr: SocketAddr,
 }
 
@@ -1248,21 +867,46 @@ impl Cluster {
         argv
     }
 
-    /// Spawns the fleet and binds the router.
+    /// Binds the router, then spawns the fleet.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError`] for bad configuration, spawn failures, or
-    /// bind failures.
+    /// bind failures. Off Linux it is the configuration error
+    /// [`Server::bind`](crate::Server::bind) gives, before any replica
+    /// spawns.
     pub fn start(cfg: ClusterConfig) -> Result<Self, ServeError> {
+        if !(1..=MAX_INFLIGHT).contains(&cfg.max_inflight) {
+            return Err(ServeError::Config(format!(
+                "--max-inflight must be in 1..={MAX_INFLIGHT}, got {}",
+                cfg.max_inflight
+            )));
+        }
         airchitect_telemetry::enable();
+        let shards = bind_shards(&cfg.addr, 0)?;
+        let registry = match &cfg.model_dir {
+            Some(dir) => Some(Mutex::new(
+                Registry::open(dir, DEFAULT_RETAIN)
+                    .map_err(|e| ServeError::Config(format!("--model-dir: {e}")))?,
+            )),
+            None => None,
+        };
         let (supervisor, fleet) = Supervisor::start(cfg.clone())?;
-        let router = Router::bind(&cfg, Arc::clone(&fleet))?;
         Ok(Self {
-            addr: router.local_addr(),
-            supervisor: Some(supervisor),
-            router: Some(router),
-            fleet,
+            addr: shards[0].addr,
+            supervisor,
+            inner: Arc::new(ProxyInner {
+                front: Front::new(&shards, cfg.read_timeout_secs, cfg.write_timeout_secs, true),
+                fleet,
+                forward: OffLoop::new(QUEUED_PER_REPLICA * cfg.replicas),
+                room: Room::default(),
+                control: OffLoop::new(CONTROL_QUEUE_DEPTH),
+                cfg,
+                registry,
+                rollout_busy: AtomicBool::new(false),
+                last_promoted: Mutex::new(None),
+            }),
+            shards,
         })
     }
 
@@ -1275,7 +919,7 @@ impl Cluster {
     /// The shared fleet state (kill hooks, health polling).
     #[must_use]
     pub fn fleet(&self) -> Arc<Fleet> {
-        Arc::clone(&self.fleet)
+        Arc::clone(&self.inner.fleet)
     }
 
     /// Polls until at least `want` replicas are on the ring. Returns
@@ -1284,26 +928,40 @@ impl Cluster {
     pub fn wait_healthy(&self, want: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if self.fleet.healthy() >= want {
+            if self.inner.fleet.healthy() >= want {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(25));
         }
-        self.fleet.healthy() >= want
+        self.inner.fleet.healthy() >= want
     }
 
     /// Serves until `POST /v1/shutdown`, then drains the children.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] for router accept-loop failures (the
-    /// children are still drained first).
-    pub fn run(mut self) -> Result<(), ServeError> {
-        let router = self.router.take().expect("router consumed twice");
-        let result = router.run();
-        if let Some(supervisor) = self.supervisor.take() {
-            supervisor.shutdown();
+    /// Returns [`ServeError::Io`] when a router shard fails (the children
+    /// are still drained first).
+    pub fn run(self) -> Result<(), ServeError> {
+        let Cluster {
+            supervisor,
+            inner,
+            shards,
+            ..
+        } = self;
+        // One forwarding thread per in-flight place: every replica can
+        // hold its cap while the others keep theirs.
+        let mut threads = inner
+            .forward
+            .spawn("router-forward", inner.cfg.replicas * inner.cfg.max_inflight as usize);
+        threads.extend(inner.control.spawn("router-control", 1));
+        let result = run_shards(shards, &inner);
+        inner.forward.shutdown();
+        inner.control.shutdown();
+        for handle in threads {
+            let _ = handle.join();
         }
+        supervisor.shutdown();
         result
     }
 }
@@ -1312,63 +970,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::ring::Ring;
-
-    #[test]
-    fn parse_response_handles_split_arrival() {
-        let full = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4\r\nRetry-After: 2\r\n\r\n{\"a\"";
-        for split in 0..full.len() {
-            let mut buf = full[..split].to_vec();
-            assert!(
-                try_parse_response(&mut buf).unwrap().is_none(),
-                "split {split} parsed early"
-            );
-            buf.extend_from_slice(&full[split..]);
-            let resp = try_parse_response(&mut buf).unwrap().expect("complete");
-            assert_eq!(resp.status, 200);
-            assert_eq!(resp.body, "{\"a\"");
-            assert_eq!(resp.retry_after, Some(2));
-            assert!(buf.is_empty(), "buffer not drained");
-        }
-    }
-
-    #[test]
-    fn parse_response_rejects_garbage() {
-        let mut buf = b"NOT-HTTP\r\n\r\n".to_vec();
-        assert!(try_parse_response(&mut buf).is_err());
-        let mut buf = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
-        assert!(try_parse_response(&mut buf).is_err(), "missing Content-Length");
-    }
-
-    #[test]
-    fn latency_estimator_warms_up_then_tracks_p99() {
-        let est = LatencyEstimator::new();
-        assert_eq!(est.p99_us(), None);
-        for _ in 0..LATENCY_WARMUP {
-            est.record(1000);
-        }
-        assert_eq!(est.p99_us(), Some(1000));
-        // A tail of slow samples drags the p99 up once recomputed.
-        for _ in 0..LATENCY_WARMUP {
-            est.record(50_000);
-        }
-        assert_eq!(est.p99_us(), Some(50_000));
-    }
-
-    #[test]
-    fn hedge_delay_prefers_fixed_config() {
-        let cfg = ClusterConfig {
-            hedge_ms: 7,
-            ..ClusterConfig::default()
-        };
-        let est = LatencyEstimator::new();
-        assert_eq!(hedge_delay(&cfg, &est), Some(Duration::from_millis(7)));
-        let auto = ClusterConfig::default();
-        assert_eq!(hedge_delay(&auto, &est), None, "cold estimator: no hedging");
-        for _ in 0..LATENCY_WARMUP {
-            est.record(100); // 100us, below the 1ms clamp floor
-        }
-        assert_eq!(hedge_delay(&auto, &est), Some(Duration::from_millis(1)));
-    }
 
     #[test]
     fn replica_argv_round_trips_serve_flags() {

@@ -74,10 +74,8 @@ pub struct ClusterConfig {
     /// How long a spawned child may go without printing its bound address
     /// before it is treated as hung and restarted, milliseconds.
     pub startup_timeout_ms: u64,
-    /// Fixed hedging delay, milliseconds; `0` derives the delay from the
-    /// rolling p99 backend latency.
-    pub hedge_ms: u64,
-    /// Maximum in-flight proxied requests per replica; excess spills to
+    /// Maximum in-flight proxied requests per replica, and so the
+    /// router's forwarding threads per replica (1..=256); excess spills to
     /// the next replica on the ring.
     pub max_inflight: u64,
     /// Total per-request backend budget at the router, milliseconds.
@@ -116,8 +114,7 @@ impl Default for ClusterConfig {
             storm_window_ms: 30_000,
             storm_cap: 5,
             startup_timeout_ms: 30_000,
-            hedge_ms: 0,
-            max_inflight: 256,
+            max_inflight: 4,
             backend_timeout_ms: 10_000,
             breaker_threshold: 5,
             breaker_cooldown_ms: 1000,
@@ -286,8 +283,6 @@ pub struct ReplicaSlot {
     /// Requests retried away from this replica after it failed or was
     /// skipped (breaker open, in-flight cap).
     pub failovers_total: AtomicU64,
-    /// Hedged duplicates fired because this replica was slow.
-    pub hedges_fired: AtomicU64,
     /// Proxied requests currently in flight to this replica.
     pub inflight: AtomicU64,
     /// Outbound router→replica circuit breaker.
@@ -326,7 +321,6 @@ impl ReplicaSlot {
             }),
             restarts_total: AtomicU64::new(0),
             failovers_total: AtomicU64::new(0),
-            hedges_fired: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             breaker: Breaker::new(
                 cfg.breaker_threshold,
@@ -368,8 +362,6 @@ pub struct ReplicaView {
     pub restarts_total: u64,
     /// Requests failed over away from this replica.
     pub failovers_total: u64,
-    /// Hedged duplicates fired against this replica's slowness.
-    pub hedges_fired: u64,
     /// Proxied requests currently in flight.
     pub inflight: u64,
     /// Outbound breaker phase name.
@@ -466,7 +458,6 @@ impl Fleet {
                     phase: if ringed { Phase::Healthy.name() } else { g.phase.name() },
                     restarts_total: slot.restarts_total.load(Ordering::Relaxed),
                     failovers_total: slot.failovers_total.load(Ordering::Relaxed),
-                    hedges_fired: slot.hedges_fired.load(Ordering::Relaxed),
                     inflight: slot.inflight.load(Ordering::Relaxed),
                     breaker: slot.breaker.phase_name(),
                 }

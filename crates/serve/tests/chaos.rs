@@ -1,15 +1,17 @@
 //! Chaos integration: the server under injected faults — breaker trips and
 //! half-open recovery, deadlines under injected latency, reload corruption,
-//! accept-loop fault retry, and the degraded-mode fallback when a circuit
-//! is open. Compiled only with `--features chaos`.
+//! a slow reload off the event loop, accept-loop fault retry, and the
+//! degraded-mode fallback when a circuit is open. Compiled only with
+//! `--features chaos`.
 
 #![cfg(feature = "chaos")]
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use airchitect::model::{AirchitectConfig, AirchitectModel, CaseStudy};
 use airchitect::persist;
@@ -293,6 +295,51 @@ fn reload_faults_409_then_trip_the_reload_breaker() {
     let health = client.get("/healthz").unwrap();
     assert!(health.body.contains("\"reload\":\"open\""), "{}", health.body);
 
+    shutdown(client, handle);
+}
+
+/// A reload runs on the control thread, not on the event loop that parsed
+/// it: while `serve.reload.read` holds the reload, a recommend sent after
+/// it on another connection of the same (only) loop is answered, and the
+/// reload's answer has not arrived yet. On the loop, the reload's answer
+/// would have been written first.
+#[test]
+fn a_slow_reload_does_not_stall_its_event_loop() {
+    let _guard = chaos("");
+    let (addr, handle) = start(ServeConfig {
+        event_loops: 1,
+        ..config(0, 0, false)
+    });
+    airchitect_chaos::configure_str("serve.reload.read=delay(1500):1:1").unwrap();
+
+    let mut reloading = TcpStream::connect(addr).unwrap();
+    reloading
+        .write_all(b"POST /v1/reload HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+        .unwrap();
+    let deadline = Instant::now() + TIMEOUT;
+    while airchitect_chaos::fired("serve.reload.read") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the reload never reached the model read"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    reloading.set_nonblocking(true).unwrap();
+    let early = reloading.read(&mut [0u8; 1]);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the reload answered before a request sent after it: {early:?}"
+    );
+
+    reloading.set_nonblocking(false).unwrap();
+    let mut answer = String::new();
+    reloading.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    assert!(answer.contains("\"generation\":2"), "{answer}");
     shutdown(client, handle);
 }
 

@@ -1,15 +1,13 @@
-//! Property tests for the two parsers that read network input: the
-//! resumable `http::try_parse` (the server's event loops) and the blocking
-//! `http::read_request` (the cluster router and the clients). Splitting a
-//! byte stream anywhere must not change what `try_parse` yields, neither
-//! parser may panic, and the two must agree on every request — or reject
-//! it with the same status. The JSON parser reads every request body, so
-//! it gets a never-panics and an escape round-trip property too.
-
-use std::io::{BufRead, BufReader};
+//! Property tests for the parsers that read network input. The request
+//! parser, `http::try_parse`, reads every request both server roles get:
+//! splitting a byte stream anywhere must not change what it yields, it
+//! never panics, every well-formed request parses to the fields it was
+//! built from, and its limits sit exactly where documented. The JSON
+//! parser reads every request body, so it gets a never-panics and an
+//! escape round-trip property too.
 
 use airchitect_serve::http::{
-    read_request, try_parse, Parsed, ReadError, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    try_parse, Parsed, ReadError, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use airchitect_telemetry::json;
 use proptest::collection::vec;
@@ -54,7 +52,6 @@ fn incremental(stream: &[u8], cuts: &[usize]) -> Vec<Outcome> {
                     out.push(Outcome::Reject(status));
                     return out;
                 }
-                Err(e) => panic!("try_parse does no I/O, got {e:?}"),
             }
         }
     }
@@ -64,33 +61,9 @@ fn incremental(stream: &[u8], cuts: &[usize]) -> Vec<Outcome> {
     out
 }
 
-/// Reads `stream` with the blocking parser until it ends or rejects.
-fn blocking(stream: &[u8]) -> Vec<Outcome> {
-    let mut out = Vec::new();
-    let mut reader = BufReader::new(stream);
-    while !reader.fill_buf().expect("in-memory read").is_empty() {
-        let outcome = match read_request(&mut reader) {
-            Ok(r) => request(r),
-            // EOF inside a request: mid-body, or mid-line.
-            Err(ReadError::Closed) => Outcome::Incomplete,
-            Err(ReadError::Bad {
-                status: 400,
-                reason,
-            }) if reason == "truncated request" => Outcome::Incomplete,
-            Err(ReadError::Bad { status, .. }) => Outcome::Reject(status),
-            Err(e) => panic!("an in-memory reader cannot time out or fail: {e:?}"),
-        };
-        let done = !matches!(outcome, Outcome::Request(..));
-        out.push(outcome);
-        if done {
-            break;
-        }
-    }
-    out
-}
-
-/// One well-formed request, with `\r\n` or bare `\n` line ends.
-fn valid_request() -> impl Strategy<Value = Vec<u8>> {
+/// One well-formed request, with `\r\n` or bare `\n` line ends, and what
+/// it must parse to.
+fn valid_request() -> impl Strategy<Value = (Vec<u8>, Outcome)> {
     let head = (
         0usize..4,
         0usize..4,
@@ -108,6 +81,9 @@ fn valid_request() -> impl Strategy<Value = Vec<u8>> {
         |((method, path, http10, bare_lf, conn), (deadline, ms, dup_len, body))| {
             let eol = if bare_lf { "\n" } else { "\r\n" };
             let method = ["GET", "POST", "put", "DELETE"][method];
+            // HTTP/1.1 keeps the connection by default, HTTP/1.0 closes;
+            // a `Connection` token list overrides either.
+            let keep_alive = [!http10, false, true, true][conn];
             let path = ["/healthz", "/v1/recommend/array", "/metrics", "/nope"][path];
             let mut head = format!(
                 "{method} {path} HTTP/1.{}{eol}Host: t{eol}",
@@ -129,7 +105,14 @@ fn valid_request() -> impl Strategy<Value = Vec<u8>> {
             head += &format!("Content-Length: {}{eol}", body.len()).repeat(lengths);
             let mut bytes = format!("{head}{eol}").into_bytes();
             bytes.extend_from_slice(&body);
-            bytes
+            let expected = Outcome::Request(
+                method.to_ascii_uppercase(),
+                path.to_string(),
+                body,
+                keep_alive,
+                deadline.then_some(ms),
+            );
+            (bytes, expected)
         },
     )
 }
@@ -151,24 +134,26 @@ fn stream() -> impl Strategy<Value = Vec<u8>> {
         any::<bool>(),
         any::<usize>(),
     )
-        .prop_map(|(mut bytes, second, pipelined, edits, hang_up, at)| {
-            if pipelined {
-                bytes.extend_from_slice(&second);
-            }
-            for (at, op, pick) in edits {
-                let (at, byte) = (at % (bytes.len() + 1), PALETTE[pick % PALETTE.len()]);
-                match op {
-                    0 if at < bytes.len() => bytes[at] = byte,
-                    1 => bytes.insert(at, byte),
-                    2 if at < bytes.len() => drop(bytes.remove(at)),
-                    _ => {}
+        .prop_map(
+            |((mut bytes, _), (second, _), pipelined, edits, hang_up, at)| {
+                if pipelined {
+                    bytes.extend_from_slice(&second);
                 }
-            }
-            if hang_up {
-                bytes.truncate(at % (bytes.len() + 1));
-            }
-            bytes
-        })
+                for (at, op, pick) in edits {
+                    let (at, byte) = (at % (bytes.len() + 1), PALETTE[pick % PALETTE.len()]);
+                    match op {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 => bytes.insert(at, byte),
+                        2 if at < bytes.len() => drop(bytes.remove(at)),
+                        _ => {}
+                    }
+                }
+                if hang_up {
+                    bytes.truncate(at % (bytes.len() + 1));
+                }
+                bytes
+            },
+        )
 }
 
 proptest! {
@@ -186,46 +171,56 @@ proptest! {
         prop_assert_eq!(incremental(&bytes, &every_byte), whole);
     }
 
-    /// Both front-ends agree on every request, or reject it with the
-    /// same status.
+    /// Every well-formed request, alone or pipelined behind another,
+    /// parses to exactly the fields it was built from.
     #[test]
-    fn both_parsers_agree(bytes in stream()) {
-        prop_assert_eq!(incremental(&bytes, &[]), blocking(&bytes));
+    fn well_formed_requests_parse_to_their_fields(
+        (first, want_first) in valid_request(),
+        (second, want_second) in valid_request(),
+    ) {
+        prop_assert_eq!(incremental(&first, &[]), vec![want_first.clone()]);
+        let pipelined = [first, second].concat();
+        prop_assert_eq!(incremental(&pipelined, &[]), vec![want_first, want_second]);
     }
 
-    /// Arbitrary bytes: neither parser panics, and they still agree.
+    /// Arbitrary bytes: the parser returns, never panics, at any split.
     #[test]
-    fn arbitrary_bytes_get_the_same_answer(bytes in vec(any::<u8>(), 0..256)) {
-        prop_assert_eq!(incremental(&bytes, &[]), blocking(&bytes));
+    fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..256), cut in any::<usize>()) {
+        let whole = incremental(&bytes, &[]);
+        prop_assert_eq!(incremental(&bytes, &[cut % (bytes.len() + 1)]), whole);
     }
 
-    /// Around the head cap both parsers draw the line at the same byte.
+    /// A head of up to `MAX_HEAD_BYTES` bytes, its blank line included,
+    /// parses; one byte more is a 413.
     #[test]
-    fn head_cap_boundary_agrees(pad in (MAX_HEAD_BYTES - 64)..(MAX_HEAD_BYTES + 8), bare_lf in any::<bool>()) {
+    fn head_cap_is_exact(pad in (MAX_HEAD_BYTES - 64)..(MAX_HEAD_BYTES + 8), bare_lf in any::<bool>()) {
         let eol = if bare_lf { "\n" } else { "\r\n" };
         let bytes = format!("GET /healthz HTTP/1.1{eol}X-Pad: {}{eol}{eol}", "a".repeat(pad))
             .into_bytes();
-        prop_assert_eq!(incremental(&bytes, &[]), blocking(&bytes));
+        let parsed = incremental(&bytes, &[]);
+        if bytes.len() <= MAX_HEAD_BYTES {
+            prop_assert!(matches!(parsed.as_slice(), [Outcome::Request(..)]), "{:?}", parsed);
+        } else {
+            prop_assert_eq!(parsed, vec![Outcome::Reject(413)]);
+        }
     }
 }
 
-/// A stray `\r` before the blank line's terminator: both parsers strip
+/// A stray `\r` before the blank line's terminator: the parser strips
 /// exactly one `\r` before `\n`, so the line is not blank and the head
 /// is rejected.
 #[test]
-fn stray_cr_before_the_blank_line_is_rejected_by_both() {
+fn stray_cr_before_the_blank_line_is_rejected() {
     let bytes = b"GET /healthz HTTP/1.1\r\n\r\r\n";
     assert_eq!(incremental(bytes, &[]), vec![Outcome::Reject(400)]);
-    assert_eq!(blocking(bytes), vec![Outcome::Reject(400)]);
 }
 
-/// A head cut off before its blank line is incomplete for both: EOF does
-/// not end the headers.
+/// A head cut off before its blank line is incomplete: the end of what
+/// arrived does not end the headers.
 #[test]
-fn head_without_blank_line_is_incomplete_for_both() {
+fn head_without_blank_line_is_incomplete() {
     let bytes = b"GET /healthz HTTP/1.1\r\nHost: t\r\n";
     assert_eq!(incremental(bytes, &[]), vec![Outcome::Incomplete]);
-    assert_eq!(blocking(bytes), vec![Outcome::Incomplete]);
 }
 
 /// Bytes that steer the JSON parser into every production.

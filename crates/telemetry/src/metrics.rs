@@ -287,10 +287,6 @@ pub static PERSIST_READ_RETRIES: Counter = Counter::new("persist.read_retries");
 pub static CLUSTER_PROXY_REQUESTS: Counter = Counter::new("cluster.proxy_requests");
 /// Requests retried on another replica after a failure or skip.
 pub static CLUSTER_FAILOVERS: Counter = Counter::new("cluster.failovers");
-/// Hedged duplicates fired after the p99-derived delay.
-pub static CLUSTER_HEDGES_FIRED: Counter = Counter::new("cluster.hedges_fired");
-/// Hedged requests where the duplicate answered first.
-pub static CLUSTER_HEDGE_WINS: Counter = Counter::new("cluster.hedge_wins");
 /// Replica child processes (re)started by the supervisor after a crash.
 pub static CLUSTER_RESTARTS: Counter = Counter::new("cluster.restarts");
 /// Health probes issued by the supervisor.
@@ -406,7 +402,7 @@ pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 pub static SERVE_SHADOW_ORACLE_US: Histogram =
     Histogram::new("serve.shadow.oracle_us");
 
-static COUNTERS: [&Counter; 55] = [
+static COUNTERS: [&Counter; 53] = [
     &SIM_EVALS,
     &DSE_SEARCHES,
     &DSE_SEARCH_POINTS,
@@ -434,8 +430,6 @@ static COUNTERS: [&Counter; 55] = [
     &PERSIST_READ_RETRIES,
     &CLUSTER_PROXY_REQUESTS,
     &CLUSTER_FAILOVERS,
-    &CLUSTER_HEDGES_FIRED,
-    &CLUSTER_HEDGE_WINS,
     &CLUSTER_RESTARTS,
     &CLUSTER_PROBES,
     &CLUSTER_PROBE_FAILURES,

@@ -218,6 +218,22 @@ COMMANDS:
              versioned records to a rotating JSONL misprediction log in
              DIR for `train --from-log`. A full shadow queue drops samples
              (serve.shadow.dropped) instead of delaying requests.
+             --canary-split R [--canary-min-samples N]
+             [--canary-min-agreement A] [--canary-max-p99-ratio X]
+             [--model-dir DIR]
+             safe rollouts: /v1/reload stages a candidate (a {"path":
+             ...} body, else the --model-dir registry's newest version,
+             else the --model files re-read) instead of swapping. While
+             it is staged, R (0..=1, deterministic per query) of
+             recommend requests of any kind, cached or not, top-1 or
+             ranked, are answered by both the candidate and the
+             incumbent on the shadow pool and compared (ranked ones by
+             their configurations in order, not their scores); clients
+             keep getting the incumbent's answer. After N samples (default
+             50) it is promoted if agreement >= A (default 0.9) and its
+             p99 is within X (default 4) times the incumbent's, else
+             rolled back (and quarantined in the registry).
+             POST /v1/rollback aborts by hand.
              --cluster [--replicas N] [--probe-interval-ms MS]
              [--probe-timeout-ms MS] [--max-inflight N]
              [--backend-timeout-ms MS]

@@ -277,10 +277,10 @@ fn traced_quick_train_emits_schema_valid_telemetry() {
 
 #[test]
 fn serve_flag_validation() {
-    // The missing-model bind below turns telemetry on for the whole
-    // process before it fails; hold the recorder exclusively and turn it
-    // back off, so the untraced commands of other tests record nothing.
+    // The missing-model bind below must leave recording as it found it:
+    // off, so the untraced commands of other tests record nothing.
     let _exclusive = recording_exclusive();
+    airchitect_telemetry::disable();
     // Every bad-flag case is a usage error (exit code 2), not a crash.
     for bad in [
         vec!["serve"],                                        // no --model
@@ -297,7 +297,10 @@ fn serve_flag_validation() {
     let err = run(&argv(&["serve", "--model", "/nonexistent/x.airm", "--port", "0"]))
         .expect_err("missing model file must fail");
     assert_eq!(err.exit_code(), 1, "{err}");
-    airchitect_telemetry::disable();
+    assert!(
+        !airchitect_telemetry::enabled(),
+        "a failed bind left telemetry recording"
+    );
 }
 
 #[test]

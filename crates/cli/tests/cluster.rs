@@ -20,6 +20,9 @@ use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+mod common;
+use common::Running;
+
 const CS1_CLASSES: u32 = 459;
 
 /// A briefly trained CS1 model (accuracy is irrelevant; the replicas
@@ -96,7 +99,7 @@ fn cluster_survives_a_replica_sigkill_under_load() {
         cluster.wait_healthy(2, Duration::from_secs(60)),
         "both replicas should pass startup probes"
     );
-    let cluster_thread = std::thread::spawn(move || cluster.run());
+    let running = Running::start(cluster);
 
     // Router healthz aggregates the fleet.
     let mut client = RetryClient::new(addr, Duration::from_secs(10), 4, Duration::from_millis(50));
@@ -166,12 +169,7 @@ fn cluster_survives_a_replica_sigkill_under_load() {
     assert_eq!(reload.status, 200, "{}", reload.body);
     assert!(reload.body.contains("\"reloaded\":true"), "{}", reload.body);
 
-    let shutdown = client.post("/v1/shutdown", "").expect("shutdown");
-    assert_eq!(shutdown.status, 200);
-    cluster_thread
-        .join()
-        .expect("cluster thread joins")
-        .expect("cluster exits cleanly");
+    running.shutdown(&mut client);
     let _ = std::fs::remove_file(&model_path);
 }
 
@@ -249,7 +247,7 @@ fn rolling_reload_mid_rollout_sigkill_rolls_the_fleet_back() {
         cluster.wait_healthy(2, Duration::from_secs(60)),
         "both replicas should pass startup probes"
     );
-    let cluster_thread = std::thread::spawn(move || cluster.run());
+    let running = Running::start(cluster);
     let mut client = RetryClient::new(addr, Duration::from_secs(30), 4, Duration::from_millis(50));
 
     // Baseline answers; the fleet must return to exactly these.
@@ -335,12 +333,7 @@ fn rolling_reload_mid_rollout_sigkill_rolls_the_fleet_back() {
         metrics.body
     );
 
-    let shutdown = client.post("/v1/shutdown", "").expect("shutdown");
-    assert_eq!(shutdown.status, 200);
-    cluster_thread
-        .join()
-        .expect("cluster thread joins")
-        .expect("cluster exits cleanly");
+    running.shutdown(&mut client);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -448,7 +441,7 @@ fn router_holds_five_thousand_keep_alive_connections_on_a_few_threads() {
         cluster.wait_healthy(1, Duration::from_secs(60)),
         "the replica should pass its startup probe"
     );
-    let cluster_thread = std::thread::spawn(move || cluster.run());
+    let running = Running::start(cluster);
     let mut client = RetryClient::new(addr, Duration::from_secs(30), 4, Duration::from_millis(50));
     let body = "{\"m\":64,\"n\":64,\"k\":32}";
     assert_eq!(
@@ -511,12 +504,7 @@ fn router_holds_five_thousand_keep_alive_connections_on_a_few_threads() {
     // Close every held connection first: idle ones would otherwise wait
     // out the drain's read-timeout window.
     drop(held);
-    let shutdown = client.post("/v1/shutdown", "").expect("shutdown");
-    assert_eq!(shutdown.status, 200);
-    cluster_thread
-        .join()
-        .expect("cluster thread joins")
-        .expect("cluster exits cleanly");
+    running.shutdown(&mut client);
     let _ = std::fs::remove_file(&model_path);
 }
 
@@ -589,7 +577,7 @@ fn a_stopped_replica_does_not_stall_requests_for_the_other() {
         cluster.wait_healthy(2, Duration::from_secs(60)),
         "both replicas should pass startup probes"
     );
-    let cluster_thread = std::thread::spawn(move || cluster.run());
+    let running = Running::start(cluster);
 
     let primary = |body: &String| {
         let key = parse_recommend(CaseStudy::ArrayDataflow, body.as_bytes())
@@ -647,11 +635,6 @@ fn a_stopped_replica_does_not_stall_requests_for_the_other() {
         );
     }
     drop(waiting);
-    let shutdown = client.post("/v1/shutdown", "").expect("shutdown");
-    assert_eq!(shutdown.status, 200);
-    cluster_thread
-        .join()
-        .expect("cluster thread joins")
-        .expect("cluster exits cleanly");
+    running.shutdown(&mut client);
     let _ = std::fs::remove_file(&model_path);
 }

@@ -31,10 +31,14 @@ use airchitect_serve::registry::{Registry, DEFAULT_RETAIN};
 use airchitect_serve::router::parse_recommend;
 use airchitect_serve::{Cluster, ClusterConfig, ServeConfig, ServeError, Server};
 use airchitect_sim::{ArrayConfig, Dataflow};
+use airchitect_telemetry::json::write_f64;
 use airchitect_telemetry::metrics;
 use airchitect_workload::GemmWorkload;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+mod common;
+use common::Running;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 /// CS1 output-space size at the paper's default 2^18 MAC budget.
@@ -463,8 +467,8 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
             cluster.wait_healthy(replicas, Duration::from_secs(60)),
             "cluster never reached {replicas} healthy replica(s)"
         );
-        let (addr, fleet) = (cluster.local_addr(), cluster.fleet());
-        (addr, fleet, std::thread::spawn(move || cluster.run()))
+        let fleet = cluster.fleet();
+        (cluster.local_addr(), fleet, Running::start(cluster))
     };
 
     let mut rng = StdRng::seed_from_u64(41);
@@ -482,7 +486,7 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     let t0 = Instant::now();
     drive(addr, CLIENTS, &pool, Until::Requests(BASELINE_REQUESTS), 4, tally);
     let baseline_qps = BASELINE_REQUESTS as f64 / t0.elapsed().as_secs_f64();
-    shutdown(addr, router);
+    router.shutdown(&mut RetryClient::new(addr, TIMEOUT, 4, Duration::from_millis(50)));
     let baseline_failed = failed.swap(0, Ordering::Relaxed);
     progress.store(0, Ordering::Relaxed);
 
@@ -518,7 +522,7 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     let views = fleet.views();
     let failovers: u64 = views.iter().map(|v| v.failovers_total).sum();
     let restarts = restarts();
-    shutdown(addr, router);
+    router.shutdown(&mut RetryClient::new(addr, TIMEOUT, 4, Duration::from_millis(50)));
     let _ = std::fs::remove_file(&model_path);
 
     let failed = failed.into_inner();
@@ -563,31 +567,55 @@ fn settle(client: &mut HttpClient) -> String {
     }
 }
 
+/// Renders a CS1 ranked answer (`"results":[…]`) exactly as the server
+/// does.
+fn render_cs1_ranked(ranked: &[(ArrayConfig, Dataflow, f32)]) -> String {
+    let mut out = String::from("\"results\":[");
+    for (i, (array, df, score)) in ranked.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        out.push_str(&render_cs1(array, *df));
+        out.push_str(",\"score\":");
+        write_f64(&mut out, f64::from(*score));
+        out.push('}');
+    }
+    out.push(']');
+    out
+}
+
 /// Safe rollout under live load: a registry-backed server with a 25 %
-/// canary split is pushed a corrupted, a regressed and a good checkpoint
-/// through `/v1/reload`. The corrupted one must be rejected at staging and
-/// quarantined, the regressed one rolled back and quarantined, and the good
-/// one promoted on disk and in the server, with zero failed and zero wrong
-/// answers.
+/// canary split and the response cache on is pushed a corrupted, a
+/// regressed and a good checkpoint through `/v1/reload`. The corrupted one
+/// must be rejected at staging and quarantined, the regressed one rolled
+/// back and quarantined, and the good one promoted on disk and in the
+/// server, with zero failed and zero wrong answers.
 ///
-/// The exposure bound is provable, not statistical: every 4th pool slot
-/// holds a key the server's own deterministic sampler puts in the canary
-/// slice (and on which the regressed model disagrees); the other slots hold
-/// out-of-slice keys. Clients stride the pool with a step coprime to its
-/// length, so any window of the load holds at most a quarter in-slice
-/// requests plus one edge request per client.
+/// The load mixes every path a request can take: three of every four pool
+/// slots cycle over a few hot keys (cache hits once warm), the fourth
+/// walks more cold keys than the cache holds (they keep missing, so the
+/// int8 bypass and the batch queue answer them), and a quarter of the keys
+/// ask for a ranked list (always the batch queue on a miss). The canary is
+/// scored on the shadow pool, never on a client's request, so the
+/// regressed candidate must answer zero client requests; every sampled key
+/// is one on which it disagrees with the incumbent, so it must lose the
+/// vote.
 #[test]
 fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
     const CLIENTS: usize = 4;
     const SPLIT: f64 = 0.25;
-    const POOL: usize = 64;
-    const MIN_SAMPLES: u64 = 12;
+    const HOT: usize = 64;
+    const TOPK: usize = 4;
+    const MIN_SAMPLES: u64 = 50;
 
-    /// A request body with both models' answers to it.
+    /// A request body with both models' answers to it: two each for a
+    /// top-1 query (int8 from the bypass, f32 from the batch queue), the
+    /// f32 list for a ranked one.
     struct Entry {
         body: String,
-        incumbent: String,
-        candidate: String,
+        incumbent: Vec<String>,
+        candidate: Vec<String>,
     }
     impl AsRef<str> for Entry {
         fn as_ref(&self) -> &str {
@@ -611,39 +639,49 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
     std::fs::write(&seed_path, &bytes_a[..]).unwrap();
 
     // Classify keys with the same `cache_key` + `sampled` pair the server
-    // uses, so the split is exact.
+    // uses, so the canary sees exactly the keys kept as disagreeing.
     let problem = Case1Problem::new(1 << CS1_BUDGET_LOG2);
     let ppm = airchitect_online::sampler::rate_to_ppm(SPLIT);
-    let mut rng = StdRng::seed_from_u64(47);
-    let (mut in_slice, mut out_slice) = (Vec::new(), Vec::new());
-    while in_slice.len() < POOL / 4 || out_slice.len() < POOL - POOL / 4 {
-        let wl = random_workload(&mut rng);
-        let body = body(&wl);
-        let key = parse_recommend(CaseStudy::ArrayDataflow, body.as_bytes())
-            .unwrap_or_else(|r| panic!("pool body rejected: {}", r.body))
-            .cache_key;
-        let answer = |rec: &Recommender| {
-            let (array, df) = rec.recommend_array_fast(&problem, &wl, BUDGET).unwrap();
-            render_cs1(&array, df)
-        };
-        let entry = Entry {
-            incumbent: answer(&rec_a),
-            candidate: answer(&rec_b),
-            body,
-        };
-        if airchitect_online::sampler::sampled(&key, ppm) {
-            if entry.candidate != entry.incumbent && in_slice.len() < POOL / 4 {
-                in_slice.push(entry);
-            }
-        } else if out_slice.len() < POOL - POOL / 4 {
-            out_slice.push(entry);
+    let answers = |rec: &Recommender, wl: &GemmWorkload, topk: usize| {
+        if topk > 0 {
+            let ranked = rec.recommend_array_topk(&problem, wl, BUDGET, topk).unwrap();
+            return vec![render_cs1_ranked(&ranked)];
         }
-    }
-    let (mut in_slice, mut out_slice) = (in_slice.into_iter(), out_slice.into_iter());
-    let pool: Vec<Entry> = (0..POOL)
-        .map(|i| if i % 4 == 0 { in_slice.next() } else { out_slice.next() })
-        .map(|entry| entry.expect("filled above"))
+        let (fast, fast_df) = rec.recommend_array_fast(&problem, wl, BUDGET).unwrap();
+        let (full, full_df) = rec.recommend_array(&problem, wl, BUDGET).unwrap();
+        vec![render_cs1(&fast, fast_df), render_cs1(&full, full_df)]
+    };
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut entries = |n: usize| {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let wl = random_workload(&mut rng);
+            let topk = if rng.random_range(0..4) == 0 { TOPK } else { 0 };
+            let mut body = body(&wl);
+            if topk > 0 {
+                body.insert_str(body.len() - 1, &format!(",\"topk\":{topk}"));
+            }
+            let key = parse_recommend(CaseStudy::ArrayDataflow, body.as_bytes())
+                .unwrap_or_else(|r| panic!("pool body rejected: {}", r.body))
+                .cache_key;
+            let entry = Entry {
+                incumbent: answers(&rec_a, &wl, topk),
+                candidate: answers(&rec_b, &wl, topk),
+                body,
+            };
+            let apart = entry.incumbent.iter().all(|a| !entry.candidate.contains(a));
+            if apart || !airchitect_online::sampler::sampled(&key, ppm) {
+                out.push(entry);
+            }
+        }
+        out
+    };
+    let hot = entries(HOT);
+    let cold = entries(ServeConfig::default().cache_capacity + HOT);
+    let pool: Vec<&Entry> = (0..4 * cold.len())
+        .map(|i| if i % 4 == 3 { &cold[i / 4] } else { &hot[(i - i / 4) % HOT] })
         .collect();
+    assert_ne!(pool.len() % 7, 0, "the clients' stride must walk the whole pool");
 
     let samples0 = metrics::SERVE_CANARY_SAMPLES.get();
     let promotions0 = metrics::SERVE_CANARY_PROMOTIONS.get();
@@ -658,15 +696,12 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
         canary_max_p99_ratio: 1e9, // latency gate off: shared machines jitter
         workers: 2,
         queue_depth: 1024,
-        // Every in-slice request must reach the canary comparator, not a
-        // warm cache.
-        cache_capacity: 0,
         read_timeout_secs: 30,
         ..ServeConfig::default()
     });
 
-    // Every answer must be one of the two models'; the candidate's on an
-    // in-slice key counts toward its exposure.
+    // Every answer must be one of the incumbent's; the candidate's counts
+    // toward its exposure.
     let done = AtomicBool::new(false);
     let total = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
@@ -680,17 +715,26 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
             .iter()
             .any(|e| e.version == v && e.quarantined)
     };
+    // Cache hits, bypass answers and batched jobs while the regressed
+    // candidate is staged.
+    let paths = || {
+        [
+            metrics::SERVE_CACHE_HITS.get(),
+            metrics::SERVE_BYPASS.get(),
+            metrics::SERVE_BATCHED_JOBS.get(),
+        ]
+    };
     let t0 = Instant::now();
-    let window = std::thread::scope(|s| {
+    let (window, window_paths) = std::thread::scope(|s| {
         s.spawn(|| {
             drive(addr, CLIENTS, &pool, Until::Stopped(&done), 1, |entry, resp| {
                 total.fetch_add(1, Ordering::Relaxed);
                 match resp {
                     Ok(r) if r.status == 200 => {
-                        if entry.candidate != entry.incumbent && r.body.contains(&entry.candidate) {
-                            candidate_answers.fetch_add(1, Ordering::Relaxed);
-                        } else if !r.body.contains(&entry.incumbent) {
-                            wrong.fetch_add(1, Ordering::Relaxed);
+                        let says = |answers: &[String]| answers.iter().any(|a| r.body.contains(a));
+                        if !says(&entry.incumbent) {
+                            let tally = if says(&entry.candidate) { &candidate_answers } else { &wrong };
+                            tally.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     _ => {
@@ -701,8 +745,8 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
         });
         let _stop = StopOnDrop(&done);
         let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
-        // Warmup: a full pass over the pool proves the incumbent serves.
-        while total.load(Ordering::Relaxed) < POOL as u64 {
+        // Warmup: the incumbent serves and the hot keys are cached.
+        while total.load(Ordering::Relaxed) < 16 * HOT as u64 {
             std::thread::sleep(Duration::from_millis(10));
         }
 
@@ -722,7 +766,7 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
         // A regressed checkpoint canaries, fails the agreement gate, and is
         // rolled back and quarantined.
         let bad_v = registry().add_version(&bytes_b).unwrap();
-        let window_start = total.load(Ordering::Relaxed);
+        let (window_start, paths_start) = (total.load(Ordering::Relaxed), paths());
         let resp = client.post("/v1/reload", "").unwrap();
         assert!(
             resp.status == 200 && resp.body.contains("\"staged\":true"),
@@ -732,6 +776,8 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
         );
         let health = settle(&mut client);
         let window = total.load(Ordering::Relaxed) - window_start;
+        let paths_end = paths();
+        let window_paths: [u64; 3] = std::array::from_fn(|i| paths_end[i] - paths_start[i]);
         assert!(health.contains("rolled_back"), "regressed checkpoint kept: {health}");
         assert!(quarantined(bad_v), "regressed v{bad_v} was not quarantined");
 
@@ -748,7 +794,7 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
         let health = settle(&mut client);
         assert!(health.contains("promoted"), "good checkpoint not promoted: {health}");
         assert_eq!(registry().manifest().active, Some(good_v), "active version on disk");
-        window
+        (window, window_paths)
     });
     let secs = t0.elapsed().as_secs_f64();
     shutdown(addr, server);
@@ -760,23 +806,21 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
     let samples = metrics::SERVE_CANARY_SAMPLES.get() - samples0;
     let promotions = metrics::SERVE_CANARY_PROMOTIONS.get() - promotions0;
     let rollbacks = metrics::SERVE_CANARY_ROLLBACKS.get() - rollbacks0;
-    let fraction = candidate_answers as f64 / window.max(1) as f64;
+    let [hits, bypassed, batched] = window_paths;
     println!(
         "rollout: {total} requests at {:.0} req/s ({failed} failed, {wrong} wrong); \
          {samples} canary samples, {promotions} promotions, {rollbacks} rollbacks; \
          bad candidate answered {candidate_answers}/{window} of its canary window \
-         ({fraction:.4} vs split {SPLIT})",
+         ({hits} cache hits, {bypassed} bypassed, {batched} batched)",
         total as f64 / secs
     );
     assert_eq!(failed, 0, "failed requests during the rollout");
     assert_eq!(wrong, 0, "answers matching neither the incumbent nor the candidate");
-    let allowed = window as f64 * SPLIT + CLIENTS as f64;
+    assert_eq!(candidate_answers, 0, "the staged candidate answered clients");
     assert!(
-        candidate_answers as f64 <= allowed,
-        "{candidate_answers} bad-candidate answers exceed the split bound \
-         ({allowed:.0} of {window})"
+        hits > 0 && bypassed > 0 && batched > 0,
+        "the canary window missed a path: {hits} cache hits, {bypassed} bypassed, {batched} batched"
     );
-    assert!(fraction <= SPLIT + 0.05, "bad-candidate fraction {fraction:.4}");
     assert!(samples >= MIN_SAMPLES, "{samples} canary samples, fewer than {MIN_SAMPLES}");
     assert!(rollbacks >= 1 && promotions >= 1, "{rollbacks} rollbacks, {promotions} promotions");
 }

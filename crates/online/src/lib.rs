@@ -6,13 +6,14 @@
 //! fleet sits on a free stream of ground truth. This crate closes the loop:
 //!
 //! 1. **Sampling** ([`sampler`]) — a deterministic hash over the request's
-//!    canonical cache key admits a configurable fraction of live queries
-//!    into a bounded shadow queue. The queue never blocks the request path:
-//!    when full, samples are dropped and counted.
-//! 2. **Shadow scoring** — a low-priority background pool (spawned by
-//!    [`sampler::spawn_pool`]; the server wires the work closure) replays
-//!    each sampled query against both the served model and the exact DSE
-//!    oracle, and appends a versioned record to the misprediction log.
+//!    canonical cache key admits a configurable fraction of live queries.
+//! 2. **Shadow scoring** — the server (`airchitect-serve`'s `shadow`
+//!    module) hands each sampled query to a bounded queue that never
+//!    blocks the request path (a full queue drops the sample and counts
+//!    it). A low-priority pool replays the query against both the served
+//!    model and the exact DSE oracle, and appends a versioned record to
+//!    the misprediction log. The same pool scores a staged rollout
+//!    candidate against the incumbent.
 //! 3. **Misprediction log** ([`record`], [`log`]) — rotating JSONL segments
 //!    in the telemetry sink schema, each self-contained (meta line, shadow
 //!    records, end line) so the `report` validator accepts every segment.
@@ -36,5 +37,5 @@ pub mod tune;
 pub use drift::{DriftMonitor, DriftStats, OnlinePolicy};
 pub use log::{read_dir, LogScan, MispredLog};
 pub use record::MispredRecord;
-pub use sampler::{sampled, ShadowQueue};
+pub use sampler::sampled;
 pub use tune::{fine_tune, FineTuneOptions, FineTuneOutcome};

@@ -1,19 +1,11 @@
-//! Deterministic request sampling and the bounded shadow-work queue.
+//! Deterministic request sampling.
 //!
 //! Sampling hashes the request's canonical cache key (FNV-1a folded through
 //! a splitmix64 finalizer, the same construction as the cluster router's
 //! ring) and admits the request when the hash lands under the configured
 //! parts-per-million threshold. The decision is a pure function of the
 //! query bytes, so replicas sample consistently, reruns are reproducible,
-//! and a hot query is either always or never shadow-scored at a given rate.
-//!
-//! [`ShadowQueue`] decouples the request path from oracle scoring: pushes
-//! never block (a full queue drops the sample and the caller counts it),
-//! pops block in the low-priority worker pool.
-
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+//! and a hot query is either always or never sampled at a given rate.
 
 /// Denominator of the sampling rate: decisions are made in parts per
 /// million.
@@ -49,138 +41,9 @@ pub fn sampled(key: &[u8], rate_ppm: u32) -> bool {
     hash_key(key) % PPM < u64::from(rate_ppm)
 }
 
-/// Why a [`ShadowQueue::push`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue is at capacity; the sample is dropped (count it).
-    Full,
-    /// The pool is shutting down; no further work is accepted.
-    Shutdown,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    shutdown: bool,
-}
-
-/// Bounded MPMC queue between the request path and the shadow pool.
-///
-/// `push` is non-blocking by construction — backpressure is expressed as
-/// [`PushError::Full`], never as latency on the serving path. `pop` blocks
-/// until an item arrives or shutdown drains the queue.
-pub struct ShadowQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    cond: Condvar,
-    capacity: usize,
-}
-
-impl<T> ShadowQueue<T> {
-    /// A queue holding at most `capacity` pending samples (min 1).
-    pub fn new(capacity: usize) -> ShadowQueue<T> {
-        ShadowQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueue without blocking; a full queue rejects the item.
-    pub fn push(&self, item: T) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.shutdown {
-            return Err(PushError::Shutdown);
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(PushError::Full);
-        }
-        inner.items.push_back(item);
-        self.cond.notify_one();
-        Ok(())
-    }
-
-    /// Block until an item is available. After [`ShadowQueue::shutdown`],
-    /// pending items are still drained; `None` means drained *and* shut
-    /// down.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.shutdown {
-                return None;
-            }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Stop accepting work and wake every blocked worker; queued items are
-    /// still delivered.
-    pub fn shutdown(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.shutdown = true;
-        self.cond.notify_all();
-    }
-
-    /// Samples currently waiting.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Spawn `threads` low-priority workers draining `queue` through `work`.
-///
-/// Workers are plain dedicated threads — they never borrow capacity from
-/// the batch-worker pool — and yield the CPU after every item so oracle
-/// searches only soak up cycles the request path isn't using. Threads exit
-/// when the queue is shut down and drained; join the handles to wait for
-/// in-flight records to land.
-pub fn spawn_pool<T, F>(
-    queue: Arc<ShadowQueue<T>>,
-    threads: usize,
-    work: F,
-) -> Vec<JoinHandle<()>>
-where
-    T: Send + 'static,
-    F: Fn(T) + Send + Sync + 'static,
-{
-    let work = Arc::new(work);
-    (0..threads.max(1))
-        .map(|i| {
-            let queue = Arc::clone(&queue);
-            let work = Arc::clone(&work);
-            thread::Builder::new()
-                .name(format!("shadow-{i}"))
-                .spawn(move || {
-                    while let Some(item) = queue.pop() {
-                        work(item);
-                        thread::yield_now();
-                    }
-                })
-                .expect("spawn shadow worker")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn sampling_is_deterministic_and_rate_shaped() {
@@ -196,40 +59,5 @@ mod tests {
         }
         // 25% ± generous slack; the hash is fixed so this is deterministic.
         assert!((1_700..=3_300).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn queue_drops_when_full_and_drains_on_shutdown() {
-        let q: ShadowQueue<u32> = ShadowQueue::new(2);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.push(3), Err(PushError::Full));
-        q.shutdown();
-        assert_eq!(q.push(4), Err(PushError::Shutdown));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pool_processes_all_items_then_exits() {
-        let q = Arc::new(ShadowQueue::new(64));
-        let seen = Arc::new(AtomicUsize::new(0));
-        let handles = spawn_pool(Arc::clone(&q), 2, {
-            let seen = Arc::clone(&seen);
-            move |_item: u32| {
-                seen.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        for i in 0..50 {
-            while q.push(i).is_err() {
-                thread::yield_now();
-            }
-        }
-        q.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(seen.load(Ordering::SeqCst), 50);
     }
 }

@@ -15,7 +15,8 @@
 //! Work that may block — a replica's reloads and rollbacks, the cluster
 //! router's forwarded requests and control calls — runs on an [`OffLoop`]:
 //! the same bounded queue drained by a fixed set of threads, answering
-//! through the same [`CompletionQueue`] the batch workers use.
+//! through the same [`CompletionQueue`] the batch workers use. The shadow
+//! pool (`crate::shadow`) drains one more [`Queue`], of sampled requests.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,7 +82,7 @@ pub enum Source {
 }
 
 /// A worker's answer, ready for HTTP framing by the owning shard.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// Success: the rendered response JSON minus its leading `{` (the
     /// shard prepends `{"cached":...,`), plus the generation of
@@ -261,7 +262,9 @@ struct State<T> {
 }
 
 /// The bounded MPMC job queue (mutex + condvar; std has no native MPMC
-/// channel with try-push semantics).
+/// channel with try-push semantics). A refused push is the caller's to
+/// count: a refused request is `serve.rejected`, a dropped shadow sample
+/// is not.
 pub struct Queue<T = Job> {
     state: Mutex<State<T>>,
     ready: Condvar,
@@ -293,7 +296,6 @@ impl<T> Queue<T> {
             return Err(PushError::ShuttingDown);
         }
         if state.jobs.len() >= self.depth {
-            metrics::SERVE_REJECTED.inc();
             return Err(PushError::Full);
         }
         state.jobs.push_back(job);
@@ -729,6 +731,25 @@ pub fn execute_fast(model: &LoadedModel, query: &RecQuery) -> Outcome {
         }
         Err(err) => domain_error(&err),
     }
+}
+
+/// Panic-isolated answer on one snapshot: [`execute_fast`] for a top-1
+/// query, [`execute`] for a ranked one. A poisoned model costs one 500,
+/// never the thread that hit it (a shard's bypass or a shadow-pool
+/// thread).
+pub(crate) fn guarded(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
+    catch_unwind(AssertUnwindSafe(|| {
+        if topk == 0 {
+            execute_fast(model, query)
+        } else {
+            execute(model, query, topk)
+        }
+    }))
+    .unwrap_or_else(|_| Outcome::Err {
+        status: 500,
+        code: "inference_panic",
+        message: "inference panicked; the request was isolated".into(),
+    })
 }
 
 fn render_score(out: &mut String, score: Option<f32>) {

@@ -3,18 +3,19 @@
 //! With a canary split configured, `/v1/reload` stops swapping models
 //! immediately. Instead the candidate set is *staged* ([`ModelHub::stage`]
 //! validates it without touching the live slots) and a deterministic
-//! fraction of single-query traffic — hashed on the canonical cache key,
-//! so the same query always lands on the same side — is answered by the
-//! candidate while the incumbent's answer is computed for the same request
-//! and compared. Promotion requires a minimum sample count with both an
-//! agreement rate and a candidate-p99-latency ratio inside their
-//! thresholds; any candidate failure, or a missed threshold, rolls the
-//! candidate back and (in registry mode) quarantines its version so the
-//! same artifact is never retried.
+//! fraction of recommend traffic of every kind — hashed on the canonical
+//! cache key, so the same query is always or never sampled — is scored on
+//! the shadow pool (`crate::shadow`): the pool answers each sampled query
+//! with both the incumbent and the candidate, compares the answers, and
+//! feeds [`Rollout::record_sample`], which applies the verdict there.
+//! Promotion requires a minimum sample count with both an agreement rate
+//! and a candidate-p99-latency ratio inside their thresholds; any
+//! candidate failure, or a missed threshold, rolls the candidate back and
+//! (in registry mode) quarantines its version so the same artifact is
+//! never retried.
 //!
-//! Because the sampled request is *always* answered — by the candidate
-//! when it succeeds, by the incumbent it was compared against otherwise —
-//! a bad canary can never fail client traffic; it can only lose the vote.
+//! Clients only ever get the incumbent's answer until promotion, so a bad
+//! canary can lose the vote but never answer a client.
 //!
 //! Promotion order is disk-first: the registry's `current.airm` and
 //! MANIFEST move *before* the in-memory install, so a crash between the
@@ -22,10 +23,10 @@
 //! incumbent.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use airchitect::model::CaseStudy;
-use airchitect_online::sampler;
 use airchitect_telemetry::json::{self, Value};
 use airchitect_telemetry::metrics;
 
@@ -39,8 +40,9 @@ const LATENCY_WINDOW: usize = 4096;
 /// Canary gate thresholds, fixed at server start.
 #[derive(Debug, Clone, Copy)]
 pub struct RolloutConfig {
-    /// Fraction of single-query traffic routed to the candidate, in parts
-    /// per million. `0` disables canarying: reloads swap immediately.
+    /// Fraction of recommend requests, of any kind, scored against a
+    /// staged candidate, in parts per million. `0` disables canarying:
+    /// reloads swap immediately.
     pub split_ppm: u32,
     /// Samples required before the agreement/latency gates are judged.
     pub min_samples: u64,
@@ -76,7 +78,7 @@ struct CanaryStats {
 /// One staged candidate model set under canary evaluation.
 #[derive(Debug)]
 pub struct Candidate {
-    /// Validated snapshots serving the canary slice (not yet installed).
+    /// Validated snapshots the shadow pool scores (not yet installed).
     models: Vec<Arc<LoadedModel>>,
     /// Generation the snapshots carry; published on promote.
     generation: u64,
@@ -112,6 +114,8 @@ pub enum Verdict {
     Rollback(&'static str),
 }
 
+/// Exact p99 of one side's latency window (sorts a copy); computed once
+/// per evaluation, when the verdict is judged.
 fn p99(samples: &[u64]) -> u64 {
     if samples.is_empty() {
         return 0;
@@ -127,6 +131,10 @@ pub struct Rollout {
     cfg: RolloutConfig,
     hub: Arc<ModelHub>,
     registry: Option<Mutex<Registry>>,
+    /// The registry's active version (0: none), stored under the registry
+    /// lock after every registry call, so `/healthz` on a shard never
+    /// waits for a promote's or quarantine's fsynced writes.
+    active_version: AtomicU64,
     candidate: RwLock<Option<Arc<Candidate>>>,
     /// Last registry version promoted by a canary — the `/v1/rollback`
     /// target once no canary is active.
@@ -138,10 +146,12 @@ pub struct Rollout {
 impl Rollout {
     /// Builds the controller. `registry` is `Some` in `--model-dir` mode.
     pub fn new(cfg: RolloutConfig, hub: Arc<ModelHub>, registry: Option<Registry>) -> Self {
+        let active = registry.as_ref().and_then(|r| r.manifest().active);
         Self {
             cfg,
             hub,
             registry: registry.map(Mutex::new),
+            active_version: AtomicU64::new(active.unwrap_or(0)),
             candidate: RwLock::new(None),
             revertible: Mutex::new(None),
             last_outcome: Mutex::new("none"),
@@ -163,12 +173,6 @@ impl Rollout {
         self.candidate.read().expect("candidate poisoned").clone()
     }
 
-    /// Whether this request's canonical cache key falls in the canary
-    /// slice (deterministic per-key split).
-    pub fn in_slice(&self, cache_key: &[u8]) -> bool {
-        sampler::sampled(cache_key, self.cfg.split_ppm)
-    }
-
     fn set_outcome(&self, outcome: &'static str) {
         *self.last_outcome.lock().expect("outcome poisoned") = outcome;
     }
@@ -179,11 +183,8 @@ impl Rollout {
     }
 
     fn quarantine(&self, version: u64) {
-        if let Some(reg) = &self.registry {
-            let mut reg = reg.lock().expect("registry poisoned");
-            if let Err(e) = reg.quarantine(version) {
-                self.hub_note(format!("quarantine v{version}: {e}"));
-            }
+        if let Some(Err(e)) = self.with_registry(|reg| reg.quarantine(version)) {
+            self.hub_note(format!("quarantine v{version}: {e}"));
         }
     }
 
@@ -219,19 +220,23 @@ impl Rollout {
         let mut version = explicit_version;
         let paths: Option<Vec<PathBuf>> = if let Some(p) = explicit_path {
             Some(vec![p])
-        } else if let Some(reg) = &self.registry {
-            let mut reg = reg.lock().expect("registry poisoned");
+        } else if self.registry.is_some() {
             // Another process (`train --model-dir`) may have registered a
             // version since we last looked; disk is authoritative.
-            if let Err(e) = reg.refresh() {
-                return registry_error_response(&e);
-            }
-            match reg.latest_candidate() {
-                Some(entry) => {
-                    version = Some(entry.version);
-                    Some(vec![reg.version_path(entry.version)])
+            let latest = self.with_registry(|reg| {
+                reg.refresh()?;
+                Ok::<_, RegistryError>(
+                    reg.latest_candidate()
+                        .map(|entry| (entry.version, reg.version_path(entry.version))),
+                )
+            });
+            match latest {
+                Some(Err(e)) => return registry_error_response(&e),
+                Some(Ok(Some((latest, path)))) => {
+                    version = Some(latest);
+                    Some(vec![path])
                 }
-                None => {
+                _ => {
                     return Response::error(
                         409,
                         "no_candidate",
@@ -326,8 +331,9 @@ impl Rollout {
         }
     }
 
-    /// Records one compared sample and applies the verdict if this sample
-    /// settles the evaluation. Returns the verdict when it fired.
+    /// Records one compared sample and, if it settles the evaluation,
+    /// applies the verdict — registry writes included — on the calling
+    /// thread (the shadow pool's). Returns the verdict when it fired.
     pub fn record_sample(
         &self,
         candidate: &Arc<Candidate>,
@@ -336,7 +342,7 @@ impl Rollout {
         candidate_us: u64,
         incumbent_us: u64,
     ) -> Option<Verdict> {
-        let verdict = {
+        let (failures, agreement, cand_us, inc_us) = {
             let mut stats = candidate.stats.lock().expect("canary stats poisoned");
             if stats.decided {
                 return None;
@@ -359,27 +365,31 @@ impl Rollout {
                 metrics::SERVE_CANARY_CANDIDATE_FAILURES.inc();
             }
             let agreement = stats.agreements as f64 / stats.samples as f64;
-            let ratio = p99(&stats.cand_us) as f64 / p99(&stats.inc_us).max(1) as f64;
             metrics::SERVE_CANARY_AGREEMENT.set(agreement);
-            metrics::SERVE_CANARY_P99_RATIO.set(ratio);
-            let verdict = if stats.failures > 0 {
-                Some(Verdict::Rollback("candidate_failure"))
-            } else if stats.samples >= self.cfg.min_samples {
-                if agreement < self.cfg.min_agreement {
-                    Some(Verdict::Rollback("agreement_below_threshold"))
-                } else if ratio > self.cfg.max_p99_ratio {
-                    Some(Verdict::Rollback("p99_ratio_above_threshold"))
-                } else {
-                    Some(Verdict::Promote)
-                }
-            } else {
-                None
-            };
-            if verdict.is_some() {
-                stats.decided = true;
+            if stats.failures == 0 && stats.samples < self.cfg.min_samples {
+                return None;
             }
-            verdict
-        }?;
+            // This sample settles it; racing samples and `/v1/rollback`
+            // now see a decided evaluation.
+            stats.decided = true;
+            (
+                stats.failures,
+                agreement,
+                std::mem::take(&mut stats.cand_us),
+                std::mem::take(&mut stats.inc_us),
+            )
+        };
+        let ratio = p99(&cand_us) as f64 / p99(&inc_us).max(1) as f64;
+        metrics::SERVE_CANARY_P99_RATIO.set(ratio);
+        let verdict = if failures > 0 {
+            Verdict::Rollback("candidate_failure")
+        } else if agreement < self.cfg.min_agreement {
+            Verdict::Rollback("agreement_below_threshold")
+        } else if ratio > self.cfg.max_p99_ratio {
+            Verdict::Rollback("p99_ratio_above_threshold")
+        } else {
+            Verdict::Promote
+        };
         self.apply(candidate, verdict);
         Some(verdict)
     }
@@ -389,21 +399,25 @@ impl Rollout {
     fn apply(&self, candidate: &Arc<Candidate>, verdict: Verdict) {
         match verdict {
             Verdict::Promote => {
-                if let (Some(reg), Some(version)) = (&self.registry, candidate.version) {
-                    let mut reg = reg.lock().expect("registry poisoned");
-                    if let Err(e) = reg.promote(version) {
-                        // Disk is authoritative: a promote that cannot
-                        // persist is treated as a failed rollout (without
-                        // quarantining — the artifact itself was fine).
-                        drop(reg);
-                        self.hub_note(format!("promote v{version}: {e}"));
-                        self.clear_candidate();
-                        metrics::SERVE_CANARY_ROLLBACKS.inc();
-                        metrics::SERVE_CANARY_ACTIVE.set(0.0);
-                        self.set_outcome("rolled_back");
-                        return;
+                if let Some(version) = candidate.version {
+                    match self.with_registry(|reg| reg.promote(version)) {
+                        Some(Err(e)) => {
+                            // Disk is authoritative: a promote that cannot
+                            // persist is treated as a failed rollout
+                            // (without quarantining — the artifact itself
+                            // was fine).
+                            self.hub_note(format!("promote v{version}: {e}"));
+                            self.clear_candidate();
+                            metrics::SERVE_CANARY_ROLLBACKS.inc();
+                            metrics::SERVE_CANARY_ACTIVE.set(0.0);
+                            self.set_outcome("rolled_back");
+                            return;
+                        }
+                        Some(Ok(_)) => {
+                            *self.revertible.lock().expect("revertible poisoned") = Some(version);
+                        }
+                        None => {}
                     }
-                    *self.revertible.lock().expect("revertible poisoned") = Some(version);
                 }
                 self.hub.install(&candidate.models, candidate.generation);
                 self.clear_candidate();
@@ -436,13 +450,15 @@ impl Rollout {
     /// Idempotent: with nothing to roll back it reports `false` with 200.
     pub fn rollback_now(&self) -> Response {
         if let Some(candidate) = self.active() {
-            {
+            // The guard must be gone before `rollback_response` reads the
+            // stats again.
+            let decided = {
                 let mut stats = candidate.stats.lock().expect("canary stats poisoned");
-                if stats.decided {
-                    // A racing sample already settled it; nothing to do.
-                    return self.rollback_response(false, "verdict_already_applied");
-                }
-                stats.decided = true;
+                std::mem::replace(&mut stats.decided, true)
+            };
+            if decided {
+                // A racing sample already settled it; nothing to do.
+                return self.rollback_response(false, "verdict_already_applied");
             }
             self.apply(&candidate, Verdict::Rollback("operator_rollback"));
             return self.rollback_response(true, "canary_discarded");
@@ -505,18 +521,24 @@ impl Rollout {
         body.push('}');
     }
 
-    /// The active registry version (registry mode), for acknowledgements.
+    /// The active registry version (registry mode), for `/healthz` and
+    /// acknowledgements. Lock-free: never waits for a registry write.
     pub fn active_version(&self) -> Option<u64> {
-        self.registry
-            .as_ref()
-            .and_then(|r| r.lock().expect("registry poisoned").manifest().active)
+        match self.active_version.load(Ordering::Acquire) {
+            0 => None,
+            version => Some(version),
+        }
     }
 
-    /// Runs `f` against the registry, if this controller has one.
+    /// Runs `f` against the registry, if this controller has one, and
+    /// publishes the resulting active version before the lock is released.
     pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> Option<T> {
-        self.registry
-            .as_ref()
-            .map(|r| f(&mut r.lock().expect("registry poisoned")))
+        self.registry.as_ref().map(|r| {
+            let mut reg = r.lock().expect("registry poisoned");
+            let out = f(&mut reg);
+            self.active_version.store(reg.manifest().active.unwrap_or(0), Ordering::Release);
+            out
+        })
     }
 }
 
@@ -626,5 +648,103 @@ mod tests {
         let cfg = RolloutConfig::default();
         assert_eq!(cfg.split_ppm, 0);
         assert_eq!(cfg.min_samples, 50);
+    }
+
+    /// A registry-less controller over a hub with no model loaded (the
+    /// verdict's install only publishes the candidate's generation), with
+    /// an empty candidate staged at generation 2.
+    fn staged(min_samples: u64) -> (Rollout, Arc<ModelHub>, Arc<Candidate>) {
+        let missing = std::env::temp_dir().join("airchitect-canary-unit-no-model.airm");
+        let hub = Arc::new(ModelHub::load(&[missing], true).expect("tolerated load"));
+        let rollout = Rollout::new(
+            RolloutConfig {
+                split_ppm: 1_000_000,
+                min_samples,
+                min_agreement: 0.9,
+                max_p99_ratio: 4.0,
+            },
+            Arc::clone(&hub),
+            None,
+        );
+        let candidate = Arc::new(Candidate {
+            models: Vec::new(),
+            generation: 2,
+            version: None,
+            stats: Mutex::new(CanaryStats::default()),
+        });
+        *rollout.candidate.write().unwrap() = Some(Arc::clone(&candidate));
+        (rollout, hub, candidate)
+    }
+
+    #[test]
+    fn one_candidate_failure_rolls_back_on_the_first_sample() {
+        let (rollout, hub, candidate) = staged(50);
+        assert_eq!(
+            rollout.record_sample(&candidate, false, true, 10, 10),
+            Some(Verdict::Rollback("candidate_failure"))
+        );
+        assert!(rollout.active().is_none());
+        assert_eq!(rollout.last_outcome(), "rolled_back");
+        assert_eq!(hub.generation(), 1, "a rollback installs nothing");
+    }
+
+    #[test]
+    fn agreement_below_the_minimum_at_min_samples_rolls_back() {
+        let (rollout, _, candidate) = staged(4);
+        for _ in 0..3 {
+            assert_eq!(rollout.record_sample(&candidate, true, false, 10, 10), None);
+        }
+        // 3 of 4 = 0.75 < 0.9.
+        assert_eq!(
+            rollout.record_sample(&candidate, false, false, 10, 10),
+            Some(Verdict::Rollback("agreement_below_threshold"))
+        );
+        assert_eq!(rollout.last_outcome(), "rolled_back");
+    }
+
+    #[test]
+    fn a_slow_candidate_p99_rolls_back() {
+        let (rollout, _, candidate) = staged(3);
+        assert_eq!(rollout.record_sample(&candidate, true, false, 50, 10), None);
+        assert_eq!(rollout.record_sample(&candidate, true, false, 50, 10), None);
+        // p99 50 µs against 10 µs: a ratio of 5 > 4.
+        assert_eq!(
+            rollout.record_sample(&candidate, true, false, 50, 10),
+            Some(Verdict::Rollback("p99_ratio_above_threshold"))
+        );
+        assert_eq!(rollout.last_outcome(), "rolled_back");
+    }
+
+    #[test]
+    fn passing_every_gate_promotes() {
+        let (rollout, hub, candidate) = staged(3);
+        assert_eq!(rollout.record_sample(&candidate, true, false, 40, 10), None);
+        assert_eq!(rollout.record_sample(&candidate, true, false, 40, 10), None);
+        // p99 40 µs against 10 µs: a ratio of exactly 4 passes.
+        assert_eq!(
+            rollout.record_sample(&candidate, true, false, 40, 10),
+            Some(Verdict::Promote)
+        );
+        assert!(rollout.active().is_none());
+        assert_eq!(rollout.last_outcome(), "promoted");
+        assert_eq!(hub.generation(), 2, "the candidate's generation is live");
+    }
+
+    #[test]
+    fn a_decided_evaluation_ignores_later_samples_and_manual_rollback() {
+        let (rollout, hub, candidate) = staged(1);
+        // A settling sample has marked the evaluation decided but not yet
+        // applied its verdict (the window a racing sample or operator
+        // rollback can hit).
+        candidate.stats.lock().unwrap().decided = true;
+        assert_eq!(rollout.record_sample(&candidate, false, true, 10, 10), None);
+        assert_eq!(candidate.stats.lock().unwrap().samples, 0);
+        let resp = rollout.rollback_now();
+        assert_eq!(resp.status, 200);
+        assert!(resp.body.contains("\"rolled_back\":false"), "{}", resp.body);
+        assert!(resp.body.contains("verdict_already_applied"), "{}", resp.body);
+        assert!(rollout.active().is_some(), "the settling sample applies it");
+        assert_eq!(rollout.last_outcome(), "none");
+        assert_eq!(hub.generation(), 1);
     }
 }

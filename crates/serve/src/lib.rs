@@ -155,11 +155,12 @@ pub struct ServeConfig {
     /// `shadow_rate > 0`. Cluster replicas may share it (files are
     /// pid-scoped).
     pub shadow_dir: Option<PathBuf>,
-    /// Bounded shadow-queue depth; a full queue drops samples (counted in
+    /// Bounded shadow-queue depth, shared by oracle and canary samples; a
+    /// full queue drops samples (oracle ones counted in
     /// `serve.shadow.dropped`) rather than delaying requests.
     pub shadow_queue_depth: usize,
     /// Dedicated low-priority shadow worker threads (never borrowed from
-    /// the batch-worker pool).
+    /// the batch-worker pool); they score oracle and canary samples.
     pub shadow_threads: usize,
     /// Versioned model registry directory (`--model-dir`). When set and
     /// `model_paths` is empty, the server boots from the registry's
@@ -168,12 +169,18 @@ pub struct ServeConfig {
     pub model_dir: Option<PathBuf>,
     /// Canary traffic split in `0.0..=1.0`; zero keeps the legacy
     /// immediate-swap reload. With a split, `/v1/reload` stages the
-    /// candidate and this fraction of single-query traffic is answered by
-    /// it (compared against the incumbent) until the gates decide.
+    /// candidate, and while it is staged this fraction of recommend
+    /// requests of any kind (cached or not, top-1 or ranked) is scored on
+    /// the shadow pool: answered by the candidate and the incumbent and
+    /// compared, until the gates decide. Clients keep getting the
+    /// incumbent's answer. The pool is sized by `shadow_threads` and
+    /// `shadow_queue_depth`.
     pub canary_split: f64,
     /// Compared samples required before the canary gates are judged.
     pub canary_min_samples: u64,
-    /// Minimum candidate-vs-incumbent agreement rate for promotion.
+    /// Minimum candidate-vs-incumbent agreement rate for promotion: the
+    /// share of samples on which both answer alike (a ranked answer by
+    /// its configurations in order, not its scores).
     pub canary_min_agreement: f64,
     /// Maximum candidate p99 latency as a multiple of the incumbent's.
     pub canary_max_p99_ratio: f64,

@@ -11,7 +11,9 @@
 //! breakers, caching, bypass, and chaos semantics are decided in exactly
 //! one place. Reloads and rollbacks read and compile models and make
 //! fsynced registry writes, so they run on one control thread (an
-//! [`OffLoop`] of one), one at a time, while the shard keeps serving.
+//! [`OffLoop`] of one), one at a time, while the shard keeps serving; a
+//! canary verdict's promote or rollback runs on the shadow pool that
+//! scores the canary (`crate::shadow`). No registry write runs on a shard.
 //!
 //! Shutdown protocol (`POST /v1/shutdown`):
 //!
@@ -172,11 +174,12 @@ pub(crate) struct Inner {
     pub(crate) breakers: Arc<Breakers>,
     pub(crate) deadline_ms: u64,
     pub(crate) bypass: bool,
-    /// Shadow-oracle sampling pipeline; `None` when disabled.
+    /// The sampling hook and its scoring pool (shadow oracle and rollout
+    /// canary); `None` when neither samples anything.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,
     /// Canary rollout controller (inert when the split is zero and no
     /// registry is attached, but always present so dispatch is uniform).
-    pub(crate) rollout: Rollout,
+    pub(crate) rollout: Arc<Rollout>,
 }
 
 impl Handler for Inner {
@@ -206,19 +209,29 @@ pub struct Server {
 impl Server {
     /// Loads the models, binds the socket(s), and starts the worker pool.
     /// Also enables telemetry recording (the serve counters are the
-    /// product surface of `/metrics`).
+    /// product surface of `/metrics`); a bind that fails leaves recording
+    /// as it found it.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError`] for bad configuration, model load failures,
     /// or bind failures.
     pub fn bind(config: &ServeConfig) -> Result<Self, ServeError> {
+        let was_recording = airchitect_telemetry::enabled();
+        airchitect_telemetry::enable();
+        let bound = Self::bind_recording(config);
+        if bound.is_err() && !was_recording {
+            airchitect_telemetry::disable();
+        }
+        bound
+    }
+
+    fn bind_recording(config: &ServeConfig) -> Result<Self, ServeError> {
         if config.threaded {
             return Err(ServeError::Config(
                 "`threaded` is no longer supported: the evented listener is the only one".into(),
             ));
         }
-        airchitect_telemetry::enable();
         // Registry mode: boot from the stable `current.airm` copy so a
         // restart (even one SIGKILLed mid-rollout) lands on the version
         // the last successful promote installed. A `--model` given
@@ -257,7 +270,7 @@ impl Server {
         // `fallback_search` doubles as "tolerate startup load failures":
         // the oracle can answer for a model that failed its checksum.
         let hub = Arc::new(ModelHub::load(&model_paths, config.fallback_search)?);
-        let rollout = Rollout::new(
+        let rollout = Arc::new(Rollout::new(
             RolloutConfig {
                 split_ppm: airchitect_online::sampler::rate_to_ppm(config.canary_split),
                 min_samples: config.canary_min_samples.max(1),
@@ -266,7 +279,7 @@ impl Server {
             },
             Arc::clone(&hub),
             registry,
-        );
+        ));
         // Built after `enable()` so the breaker gauges publish their
         // closed state and show up in `/metrics` from the first scrape.
         let breakers = Arc::new(Breakers::new(
@@ -277,6 +290,7 @@ impl Server {
 
         let shards = evented::bind_shards(&config.addr, config.event_loops)?;
         let addr = shards[0].addr;
+        let shadow = crate::shadow::ShadowState::start(config, &hub, &rollout)?;
 
         let queue = Arc::new(Queue::new(config.queue_depth));
         let workers = spawn_workers(
@@ -303,7 +317,7 @@ impl Server {
                 breakers,
                 deadline_ms: config.deadline_ms,
                 bypass: config.single_query_bypass,
-                shadow: crate::shadow::ShadowState::start(config)?,
+                shadow,
                 rollout,
             }),
             workers,
@@ -383,7 +397,7 @@ pub(crate) fn handle_request_step(
         Err(resp) => return Step::Respond(resp),
     };
     Step::Respond(match route {
-        Route::Healthz => router::render_healthz(&inner.hub, &inner.breakers, Some(&inner.rollout)),
+        Route::Healthz => router::render_healthz(&inner.hub, &inner.breakers, Some(&*inner.rollout)),
         Route::Metrics => render_metrics_response(&inner.front),
         Route::Shutdown => {
             initiate_shutdown(&inner.front);
@@ -420,10 +434,12 @@ pub(crate) fn off_loop<S: Default + 'static>(
     }
 }
 
-/// The answer to a job a queue would not take.
+/// The answer to a job a queue would not take; a full queue counts
+/// `serve.rejected`.
 pub(crate) fn refused(e: PushError) -> Response {
     match e {
         PushError::Full => {
+            metrics::SERVE_REJECTED.inc();
             let mut resp =
                 Response::error(429, "queue_full", "request queue is full; retry shortly");
             resp.retry_after = Some(1);
@@ -579,13 +595,12 @@ fn recommend_step(
         Err(resp) => return respond(resp),
     };
 
-    // Shadow-oracle sampling, before the cache so hot queries are scored
-    // too. The task snapshots the live model: concurrent reloads can't
-    // change which generation this request is scored against.
+    // The one sampling hook, before the cache so hot queries are scored
+    // too: the shadow pool scores a sampled query against the oracle, a
+    // staged canary candidate, or both, on the live model's snapshot. The
+    // client's answer below is the incumbent's either way.
     if let Some(shadow) = &inner.shadow {
-        if let Some(model) = inner.hub.get(case) {
-            shadow.maybe_sample(&parsed.cache_key, &parsed.query, model);
-        }
+        shadow.maybe_sample(&parsed);
     }
 
     // Cache lookup, generation-checked against the live model.
@@ -614,54 +629,9 @@ fn recommend_step(
                 let breaker = inner.breakers.infer(case);
                 if matches!(breaker.try_acquire(), Admit::Yes) {
                     metrics::SERVE_BYPASS.inc();
-                    // Canary slice: a deterministically sampled request is
-                    // answered by the staged candidate *and* the incumbent,
-                    // the answers compared, and the verdict tallied. The
-                    // client gets the candidate's answer when it succeeded,
-                    // the incumbent's otherwise — a bad canary can lose the
-                    // vote but never fail a request.
-                    if let Some(candidate) = inner.rollout.active() {
-                        if inner.rollout.in_slice(&parsed.cache_key) {
-                            if let Some(cand_model) = candidate.model(case) {
-                                if cand_model.recommender.quantized().is_some() {
-                                    let inc_start = Instant::now();
-                                    let inc = guarded_fast(&model, &parsed.query);
-                                    let inc_us = inc_start.elapsed().as_micros() as u64;
-                                    let cand_start = Instant::now();
-                                    let cand = guarded_fast(cand_model, &parsed.query);
-                                    let cand_us = cand_start.elapsed().as_micros() as u64;
-                                    let cand_failed = matches!(
-                                        &cand,
-                                        crate::batch::Outcome::Err { .. }
-                                    );
-                                    let agreed =
-                                        !cand_failed && answers_agree(&inc, &cand);
-                                    inner.rollout.record_sample(
-                                        &candidate,
-                                        agreed,
-                                        cand_failed,
-                                        cand_us,
-                                        inc_us,
-                                    );
-                                    let inc_failed = matches!(
-                                        &inc,
-                                        crate::batch::Outcome::Err { status, .. } if *status >= 500
-                                    );
-                                    if inc_failed {
-                                        metrics::SERVE_INFER_FAILURES.inc();
-                                    }
-                                    breaker.record(!inc_failed);
-                                    // Never cached: the winning answer may
-                                    // carry a generation that is not live.
-                                    let served = if cand_failed { inc } else { cand };
-                                    return respond(uncached_response(served));
-                                }
-                            }
-                        }
-                    }
                     // Same panic isolation and breaker accounting as the
                     // worker's answer_job: a poisoned model costs one 500.
-                    let outcome = guarded_fast(&model, &parsed.query);
+                    let outcome = crate::batch::guarded(&model, &parsed.query, 0);
                     let failed = matches!(
                         &outcome,
                         crate::batch::Outcome::Err { status, .. } if *status >= 500
@@ -739,53 +709,6 @@ pub(crate) fn outcome_response(
             }
             resp
         }
-    }
-}
-
-/// Panic-isolated [`execute_fast`](crate::batch::execute_fast): a poisoned
-/// model costs one 500, never the shard that hit it.
-fn guarded_fast(
-    model: &crate::reload::LoadedModel,
-    query: &crate::batch::RecQuery,
-) -> crate::batch::Outcome {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::batch::execute_fast(model, query)
-    }))
-    .unwrap_or_else(|_| crate::batch::Outcome::Err {
-        status: 500,
-        code: "inference_panic",
-        message: "inference panicked; the request was isolated".into(),
-    })
-}
-
-/// Whether two successful fast-path answers agree on everything but the
-/// producing generation (the tail's first field, which legitimately
-/// differs between incumbent and candidate).
-fn answers_agree(a: &crate::batch::Outcome, b: &crate::batch::Outcome) -> bool {
-    let tail = |o: &crate::batch::Outcome| match o {
-        crate::batch::Outcome::Ok { body_tail, .. } => body_tail
-            .find(',')
-            .map(|i| body_tail[i..].to_string()),
-        crate::batch::Outcome::Err { .. } => None,
-    };
-    match (tail(a), tail(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// Frames an outcome as HTTP without touching the response cache (canary
-/// comparisons: the served answer may come from a non-live generation).
-fn uncached_response(outcome: crate::batch::Outcome) -> Response {
-    match outcome {
-        crate::batch::Outcome::Ok { body_tail, .. } => {
-            Response::json(200, format!("{{\"cached\":false,{body_tail}"))
-        }
-        crate::batch::Outcome::Err {
-            status,
-            code,
-            message,
-        } => Response::error(status, code, &message),
     }
 }
 

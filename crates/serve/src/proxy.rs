@@ -845,6 +845,9 @@ impl Cluster {
                 argv.push("--shadow-log-dir".into());
                 argv.push(dir.display().to_string());
             }
+        }
+        // The scoring pool serves the oracle and the canary alike.
+        if config.shadow_rate > 0.0 || config.canary_split > 0.0 {
             argv.push("--shadow-queue-depth".into());
             argv.push(config.shadow_queue_depth.to_string());
             argv.push("--shadow-threads".into());
@@ -995,6 +998,23 @@ mod tests {
             !argv.contains(&"--port".to_string()),
             "the supervisor appends --port itself"
         );
+
+        // A canary without the oracle still sizes the scoring pool.
+        let config = ServeConfig {
+            canary_split: 0.5,
+            shadow_threads: 3,
+            shadow_queue_depth: 17,
+            ..config
+        };
+        let argv = Cluster::replica_argv("airchitect", &config);
+        let value = |flag: &str| {
+            let at = argv.iter().position(|a| a == flag);
+            at.map(|i| argv[i + 1].as_str())
+        };
+        assert_eq!(value("--canary-split"), Some("0.5"));
+        assert_eq!(value("--shadow-threads"), Some("3"));
+        assert_eq!(value("--shadow-queue-depth"), Some("17"));
+        assert_eq!(value("--shadow-oracle"), None);
     }
 
     #[test]

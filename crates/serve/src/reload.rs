@@ -245,8 +245,9 @@ impl ModelHub {
     /// Loads and validates a candidate model set from `paths` (default:
     /// the registered paths) at the *next* generation, without touching
     /// the live slots. This is the staging half of a canary rollout: the
-    /// returned snapshots serve the canary traffic slice and are only
-    /// swapped in by [`ModelHub::install`] after the gates pass.
+    /// returned snapshots are only scored on the shadow pool, never
+    /// answer a client, and are swapped in by [`ModelHub::install`] after
+    /// the gates pass.
     ///
     /// # Errors
     ///

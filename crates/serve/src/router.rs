@@ -293,8 +293,10 @@ pub fn parse_recommend(case: CaseStudy, body: &[u8]) -> Result<ParsedQuery, Resp
 /// The status is `degraded` (not `ok`) while any circuit is open or a
 /// registered model is missing — load balancers doing string matches see
 /// the difference. A canary in flight does *not* flip the status: the
-/// incumbent still answers all non-canary traffic, and the cluster
-/// supervisor's probe must keep seeing a healthy replica mid-rollout.
+/// incumbent answers all traffic until promotion (the candidate is only
+/// scored on the shadow pool), and the cluster supervisor's probe must
+/// keep seeing a healthy replica mid-rollout. Nothing here takes the
+/// registry lock, so a held promote never stalls the probe.
 pub fn render_healthz(
     hub: &ModelHub,
     breakers: &Breakers,

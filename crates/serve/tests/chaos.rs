@@ -1,8 +1,8 @@
 //! Chaos integration: the server under injected faults — breaker trips and
 //! half-open recovery, deadlines under injected latency, reload corruption,
-//! a slow reload off the event loop, accept-loop fault retry, and the
-//! degraded-mode fallback when a circuit is open. Compiled only with
-//! `--features chaos`.
+//! a slow reload and a held canary promote off the event loop, accept-loop
+//! fault retry, and the degraded-mode fallback when a circuit is open.
+//! Compiled only with `--features chaos`.
 
 #![cfg(feature = "chaos")]
 
@@ -478,6 +478,61 @@ fn injected_quarantine_persist_failure_is_surfaced_not_fatal() {
     let reg = Registry::open(&dir, 3).unwrap();
     assert!(reg.manifest().entries.iter().any(|e| e.version == 2 && e.quarantined));
 
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A canary verdict runs on the shadow pool, never on a shard: on a
+/// one-loop server with every request sampled and one sample enough, the
+/// request whose sample settles the verdict is answered while the
+/// promote's registry write is still held by `registry.promote`, and so
+/// are a recommend and a `/healthz` sent next on another connection of the
+/// same loop.
+#[test]
+fn a_held_canary_promote_does_not_stall_its_event_loop() {
+    use airchitect_serve::registry::Registry;
+
+    let _guard = chaos("");
+    let (dir, config) = rollout_config("held-promote");
+    let (addr, handle) = start(ServeConfig {
+        event_loops: 1,
+        canary_min_samples: 1,
+        ..config
+    });
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    {
+        let bytes = std::fs::read(dir.join("current.airm")).unwrap();
+        let mut reg = Registry::open(&dir, 3).unwrap();
+        assert_eq!(reg.add_version(&bytes).unwrap(), 2);
+    }
+    let resp = client.post("/v1/reload", "").unwrap();
+    assert!(resp.body.contains("\"staged\":true"), "{}", resp.body);
+    airchitect_chaos::configure_str("registry.promote=delay(1500):1:1").unwrap();
+    let active = || Registry::open(&dir, 3).unwrap().manifest().active;
+
+    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(active(), Some(1), "the settling request waited for the promote");
+    let deadline = Instant::now() + TIMEOUT;
+    while airchitect_chaos::fired("registry.promote") == 0 {
+        assert!(Instant::now() < deadline, "the verdict never reached the promote");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut other = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let resp = other.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(active(), Some(1), "a request on another connection waited for the promote");
+    // `/healthz` reports the active version without the registry lock the
+    // promote holds.
+    let health = other.get("/healthz").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+    assert_eq!(active(), Some(1), "a healthz waited for the promote");
+    assert!(health.body.trim_end().ends_with(",\"version\":1}"), "{}", health.body);
+
+    let health = settle(&mut client);
+    assert!(health.contains("\"last\":\"promoted\""), "{health}");
+    assert_eq!(active(), Some(2));
+    drop(other);
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

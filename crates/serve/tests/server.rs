@@ -842,6 +842,75 @@ fn canary_promotes_an_agreeing_candidate_and_persists_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A retrained candidate whose weights differ but whose rankings do not
+/// must promote under ranked traffic: its scores differ from the
+/// incumbent's on every ranked answer, and agreement is judged on the
+/// configurations a client gets, not on the scores.
+#[test]
+fn canary_promotes_a_candidate_that_ranks_alike_with_different_scores() {
+    use airchitect::Recommender;
+    use airchitect_dse::case1::Case1Problem;
+    use airchitect_dse::space::Case1Space;
+    use airchitect_serve::registry::Registry;
+    use airchitect_workload::GemmWorkload;
+
+    let (dir, config) = rollout_fixture("rescaled", 1.0);
+    // Doubling the output layer doubles every logit exactly: the same
+    // argmax and the same order, different softmax scores.
+    let incumbent = persist::load(dir.join("seed.airm")).unwrap();
+    let mut network = incumbent.network().clone();
+    let mut params = network.params_mut();
+    let outputs = params.len() - 2;
+    for param in &mut params[outputs..] {
+        param.value.iter_mut().for_each(|v| *v *= 2.0);
+    }
+    let rescaled = AirchitectModel::from_parts(
+        incumbent.case_study(),
+        incumbent.quantizer().clone(),
+        network,
+        true,
+    );
+    let ms: Vec<u64> = (0..4).map(|i| 64 + i * 32).collect();
+    {
+        let rec_a = Recommender::new(incumbent).unwrap();
+        let rec_b = Recommender::new(rescaled.clone()).unwrap();
+        let space = Case1Space::from_len(30).expect("30-label CS1 space");
+        let problem = Case1Problem::new(space.mac_budget());
+        for &m in &ms {
+            let wl = GemmWorkload::new(m, 64, 256).unwrap();
+            let a = rec_a.recommend_array_topk(&problem, &wl, 1024, 4).unwrap();
+            let b = rec_b.recommend_array_topk(&problem, &wl, 1024, 4).unwrap();
+            assert!(
+                a.iter().map(|r| (r.0, r.1)).eq(b.iter().map(|r| (r.0, r.1))),
+                "m={m}: rescaling changed a ranking"
+            );
+            assert_ne!(a[0].2, b[0].2, "m={m}: rescaling left the scores alike");
+        }
+    }
+
+    let (addr, handle) = start(config);
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    {
+        let mut reg = Registry::open(&dir, 3).unwrap();
+        assert_eq!(reg.add_version(&persist::to_bytes(&rescaled)).unwrap(), 2);
+    }
+    let resp = client.post("/v1/reload", "").unwrap();
+    assert!(resp.body.contains("\"staged\":true"), "{}", resp.body);
+
+    // Mostly ranked traffic, one top-1 key.
+    let mut traffic: Vec<String> = ms
+        .iter()
+        .map(|m| format!("{{\"m\":{m},\"n\":64,\"k\":256,\"mac_budget\":1024,\"topk\":4}}"))
+        .collect();
+    traffic.push(format!("{{\"m\":{},\"n\":64,\"k\":256,\"mac_budget\":1024}}", ms[0]));
+    let health = drive_until_idle(&mut client, &traffic);
+    assert!(health.contains("\"last\":\"promoted\""), "{health}");
+    assert!(health.contains("\"version\":2"), "{health}");
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A candidate that disagrees with the incumbent must lose the vote:
 /// automatic rollback, version quarantined in the MANIFEST, incumbent
 /// still serving, and the same artifact refused on re-registration.

@@ -261,7 +261,9 @@ pub static GEMM_DISPATCH_AVX2: Counter = Counter::new("gemm.kernel_dispatch.avx2
 pub static GEMM_DISPATCH_PORTABLE: Counter = Counter::new("gemm.kernel_dispatch.portable");
 /// HTTP requests accepted by the inference server (any route).
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-/// Recommendation requests rejected with 429 because the queue was full.
+/// Requests answered 429 because a queue was full: the batch queue, a
+/// control thread's or a router forwarding queue (never a dropped shadow
+/// or canary sample).
 pub static SERVE_REJECTED: Counter = Counter::new("serve.rejected");
 /// Recommendation responses served from the LRU cache.
 pub static SERVE_CACHE_HITS: Counter = Counter::new("serve.cache_hits");
@@ -311,9 +313,10 @@ pub static SERVE_BYPASS: Counter = Counter::new("serve.bypass");
 /// the evented listener (one eventfd write per empty→non-empty queue
 /// transition, not one per completion).
 pub static SERVE_WAKEUPS: Counter = Counter::new("serve.wakeups");
-/// Admitted requests sampled into the shadow-oracle queue.
+/// Admitted requests sampled for the shadow oracle (canary samples are
+/// not counted here).
 pub static SERVE_SHADOW_SAMPLED: Counter = Counter::new("serve.shadow.sampled");
-/// Sampled requests dropped because the shadow queue was full (the
+/// Oracle samples dropped because the shadow queue was full (the
 /// backpressure signal for shadow-pool starvation).
 pub static SERVE_SHADOW_DROPPED: Counter = Counter::new("serve.shadow.dropped");
 /// Misprediction-log records written by the shadow pool.
@@ -324,13 +327,15 @@ pub static SERVE_SHADOW_DISAGREEMENTS: Counter =
     Counter::new("serve.shadow.disagreements");
 /// Candidate models staged as canaries by `/v1/reload`.
 pub static SERVE_CANARY_STAGED: Counter = Counter::new("serve.canary.staged");
-/// Single-query requests answered by the canary candidate (the exposure
-/// counter the rollout gate bounds against the configured split).
+/// Canary samples scored on the shadow pool: sampled requests of any
+/// kind answered by both the incumbent and the staged candidate and
+/// compared. Clients never see the candidate's answer, so this is not an
+/// exposure count.
 pub static SERVE_CANARY_SAMPLES: Counter = Counter::new("serve.canary.samples");
 /// Canary samples where candidate and incumbent agreed on the answer.
 pub static SERVE_CANARY_AGREEMENTS: Counter = Counter::new("serve.canary.agreements");
-/// Canary samples where the candidate returned a 5xx-class outcome (the
-/// incumbent's answer was served instead; any such failure rolls back).
+/// Canary samples where the candidate's answer was a 5xx-class outcome
+/// (a panic or model error); any such failure rolls the candidate back.
 pub static SERVE_CANARY_CANDIDATE_FAILURES: Counter =
     Counter::new("serve.canary.candidate_failures");
 /// Candidates promoted to incumbent after passing the canary gates.
@@ -377,8 +382,10 @@ pub static SERVE_SHADOW_ORACLE_MEAN_US: Gauge =
 pub static SERVE_CANARY_ACTIVE: Gauge = Gauge::new("serve.canary.active");
 /// Candidate-vs-incumbent agreement over the current canary's samples.
 pub static SERVE_CANARY_AGREEMENT: Gauge = Gauge::new("serve.canary.agreement");
-/// Candidate p99 latency divided by incumbent p99 over the current
-/// canary's samples (the latency gate compares this to the threshold).
+/// Candidate p99 latency divided by incumbent p99 over a canary's
+/// samples, both timed on the shadow pool; set once, when the verdict is
+/// judged (0 while a candidate is evaluating). The latency gate compares
+/// it to the threshold.
 pub static SERVE_CANARY_P99_RATIO: Gauge = Gauge::new("serve.canary.p99_ratio");
 /// Replicas that have promoted the candidate in the in-flight rolling
 /// reload (reset to 0 when no rollout is in progress).

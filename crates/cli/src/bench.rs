@@ -674,7 +674,6 @@ fn bench_c10k(out_dir: &str, quick: bool) -> Result<(), CliError> {
         model_paths: vec![model_path.clone()],
         workers: 2,
         queue_depth: 2048,
-        batch_max: 64,
         cache_capacity: 4096,
         read_timeout_secs: 300,
         write_timeout_secs: 30,

@@ -10,7 +10,7 @@
 //! * `train`     — train an AIrchitect model on a dataset (`.airm` output),
 //! * `recommend` — constant-time recommendation from a trained model,
 //! * `bench`     — the training-speedup and c10k suites (`BENCH_*.json`),
-//! * `serve`     — batched, hot-reloadable HTTP inference server,
+//! * `serve`     — hot-reloadable HTTP inference server,
 //! * `report`    — validate and pretty-print a telemetry JSONL file.
 //!
 //! `generate`, `train`, `evaluate`, and `bench` accept `--trace` (print a
@@ -193,7 +193,7 @@ COMMANDS:
 
   serve      --model model.airm[,model2.airm...] [--host H] [--port P]
              [--cluster] [--replicas N]
-             [--workers W] [--queue-depth D] [--batch-max B] [--cache-cap C]
+             [--workers W] [--queue-depth D] [--cache-cap C]
              [--read-timeout-secs S] [--write-timeout-secs S]
              [--deadline-ms MS] [--breaker-threshold N]
              [--breaker-cooldown-ms MS] [--fallback search|none]
@@ -201,8 +201,12 @@ COMMANDS:
              buffers|schedule} (JSON bodies mirroring the `recommend` flags,
              plus "topk"), GET /healthz, GET /metrics, POST /v1/reload
              (atomic model hot-swap), POST /v1/shutdown (graceful drain).
-             --port 0 binds an ephemeral port (printed on stdout). Requests
-             beyond --queue-depth are rejected with 429 + Retry-After.
+             --port 0 binds an ephemeral port (printed on stdout). A top-1
+             request is answered inline by the event loop that read it,
+             on the int8 path; a ranked ("topk") one runs the f32 path on
+             --workers W threads (default 4), and ranked requests beyond
+             --queue-depth D waiting (default 256) are rejected with
+             429 + Retry-After.
              --deadline-ms caps end-to-end request time (clients can tighten
              per request with X-Deadline-Ms; over-budget answers 504).
              --breaker-threshold N opens a circuit after N consecutive

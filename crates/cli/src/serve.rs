@@ -1,4 +1,4 @@
-//! `airchitect serve` — run the batched, hot-reloadable inference server,
+//! `airchitect serve` — run the hot-reloadable inference server,
 //! or (with `--cluster`) a supervised fleet of replica processes behind a
 //! consistent-hashing router.
 
@@ -30,7 +30,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         "port",
         "workers",
         "queue-depth",
-        "batch-max",
         "cache-cap",
         "read-timeout-secs",
         "write-timeout-secs",
@@ -38,7 +37,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         "breaker-threshold",
         "breaker-cooldown-ms",
         "fallback",
-        "no-bypass",
         "event-loops",
         "shadow-oracle",
         "shadow-log-dir",
@@ -81,10 +79,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     let workers = args.u64_or("workers", 4)? as usize;
     if workers == 0 {
         return Err(CliError::Usage("`--workers` must be at least 1".into()));
-    }
-    let batch_max = args.u64_or("batch-max", 16)? as usize;
-    if batch_max == 0 {
-        return Err(CliError::Usage("`--batch-max` must be at least 1".into()));
     }
     let host = args.optional("host").unwrap_or("127.0.0.1");
     let port = args.u64_or("port", 8080)?;
@@ -181,7 +175,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         model_paths,
         workers,
         queue_depth: args.u64_or("queue-depth", 256)? as usize,
-        batch_max,
         cache_capacity: args.u64_or("cache-cap", 4096)? as usize,
         read_timeout_secs: args.u64_or("read-timeout-secs", 5)?,
         write_timeout_secs: args.u64_or("write-timeout-secs", 5)?,
@@ -189,7 +182,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         breaker_threshold: breaker_threshold as u32,
         breaker_cooldown_ms: args.u64_or("breaker-cooldown-ms", 1000)?,
         fallback_search,
-        single_query_bypass: !args.flag("no-bypass"),
         event_loops: args.u64_or("event-loops", 0)? as usize,
         shadow_rate,
         shadow_dir: args.optional("shadow-log-dir").map(PathBuf::from),

@@ -286,7 +286,10 @@ fn serve_flag_validation() {
         vec!["serve"],                                        // no --model
         vec!["serve", "--model", ""],                         // empty path list
         vec!["serve", "--model", "x.airm", "--workers", "0"], // no workers
-        vec!["serve", "--model", "x.airm", "--batch-max", "0"],
+        // Retired flags: every top-1 request answers inline, so there is
+        // no micro-batch to size and no bypass to switch off.
+        vec!["serve", "--model", "x.airm", "--batch-max", "16"],
+        vec!["serve", "--model", "x.airm", "--no-bypass"],
         vec!["serve", "--model", "x.airm", "--port", "99999"],
         vec!["serve", "--model", "x.airm", "--bogus", "1"], // typo protection
     ] {

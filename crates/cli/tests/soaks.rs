@@ -295,7 +295,6 @@ fn online_soak_fine_tunes_on_drift_and_improves_agreement() {
         model_paths: vec![model_path.clone()],
         workers: 2,
         queue_depth: 1024,
-        batch_max: 16,
         cache_capacity: 4096,
         read_timeout_secs: 30,
         shadow_rate: 1.0,
@@ -430,7 +429,9 @@ fn online_soak_fine_tunes_on_drift_and_improves_agreement() {
 /// QPS must hold against one replica behind the same router — so both pay
 /// the same proxy hop: at least 1× given the cores to run the fleet in
 /// parallel, 0.6× below 8 cores. Replica caches are off, so the comparison
-/// is inference-bound and a killed replica costs recomputation.
+/// is inference-bound and a killed replica costs recomputation. Until the
+/// kill every replica is healthy, so the router may spill load past a
+/// replica at its in-flight cap but must count no failover.
 #[test]
 fn cluster_soak_survives_a_replica_sigkill_under_load() {
     const CLIENTS: usize = 16;
@@ -492,12 +493,13 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
 
     let (addr, fleet, router) = boot(REPLICAS);
     let t0 = Instant::now();
-    let (latencies, killed) = std::thread::scope(|s| {
+    let (latencies, (healthy_views, killed)) = std::thread::scope(|s| {
         let killer = s.spawn(|| {
             while progress.load(Ordering::Relaxed) < KILL_AT {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            fleet.kill_replica(VICTIM)
+            let healthy_views = fleet.views();
+            (healthy_views, fleet.kill_replica(VICTIM))
         });
         let latencies = drive(addr, CLIENTS, &pool, Until::Requests(REQUESTS), 4, tally);
         (latencies, killer.join().expect("killer panicked"))
@@ -526,12 +528,15 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     let _ = std::fs::remove_file(&model_path);
 
     let failed = failed.into_inner();
+    let healthy_failovers: u64 = healthy_views.iter().map(|v| v.failovers_total).sum();
+    let healthy_spills: u64 = healthy_views.iter().map(|v| v.spills_total).sum();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let required = if cores >= 2 * REPLICAS + 2 { 1.0 } else { 0.6 };
     println!(
         "cluster: {qps:.0} req/s ({:.2}x one replica at {baseline_qps:.0}, floor {required}x, \
          {cores} cores); {failed} failed; replica {VICTIM} re-admitted in {readmit_ms} ms; \
-         {restarts} restarts, {failovers} failovers; latency p50 {} us, \
+         {restarts} restarts, {failovers} failovers; before the kill \
+         {healthy_failovers} failovers, {healthy_spills} spills; latency p50 {} us, \
          p95 {} us, p99 {} us",
         qps / baseline_qps,
         percentile(&latencies, 0.50),
@@ -540,6 +545,14 @@ fn cluster_soak_survives_a_replica_sigkill_under_load() {
     );
     assert_eq!(baseline_failed, 0, "failed requests against the one-replica baseline");
     assert!(killed, "kill_replica({VICTIM}) found no live child to kill");
+    assert_eq!(
+        healthy_failovers, 0,
+        "failovers counted while every replica was healthy"
+    );
+    assert!(
+        healthy_spills > 0,
+        "no request spilled past a replica at its in-flight cap"
+    );
     assert_eq!(failed, 0, "client-visible failures while replica {VICTIM} was killed");
     assert!(readmitted, "replica {VICTIM} was not restarted and re-admitted within 30 s");
     assert!(restarts >= 1, "the killed replica recorded no restart");
@@ -595,8 +608,8 @@ fn render_cs1_ranked(ranked: &[(ArrayConfig, Dataflow, f32)]) -> String {
 /// The load mixes every path a request can take: three of every four pool
 /// slots cycle over a few hot keys (cache hits once warm), the fourth
 /// walks more cold keys than the cache holds (they keep missing, so the
-/// int8 bypass and the batch queue answer them), and a quarter of the keys
-/// ask for a ranked list (always the batch queue on a miss). The canary is
+/// shard answers them inline on the int8 path), and a quarter of the keys
+/// ask for a ranked list (the ranked pool on a miss). The canary is
 /// scored on the shadow pool, never on a client's request, so the
 /// regressed candidate must answer zero client requests; every sampled key
 /// is one on which it disagrees with the incumbent, so it must lose the
@@ -609,13 +622,13 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
     const TOPK: usize = 4;
     const MIN_SAMPLES: u64 = 50;
 
-    /// A request body with both models' answers to it: two each for a
-    /// top-1 query (int8 from the bypass, f32 from the batch queue), the
-    /// f32 list for a ranked one.
+    /// A request body with both models' answers to it: the int8 answer
+    /// to a top-1 query (every top-1 miss is answered inline by the int8
+    /// pass), the f32 list to a ranked one.
     struct Entry {
         body: String,
-        incumbent: Vec<String>,
-        candidate: Vec<String>,
+        incumbent: String,
+        candidate: String,
     }
     impl AsRef<str> for Entry {
         fn as_ref(&self) -> &str {
@@ -645,11 +658,10 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
     let answers = |rec: &Recommender, wl: &GemmWorkload, topk: usize| {
         if topk > 0 {
             let ranked = rec.recommend_array_topk(&problem, wl, BUDGET, topk).unwrap();
-            return vec![render_cs1_ranked(&ranked)];
+            return render_cs1_ranked(&ranked);
         }
         let (fast, fast_df) = rec.recommend_array_fast(&problem, wl, BUDGET).unwrap();
-        let (full, full_df) = rec.recommend_array(&problem, wl, BUDGET).unwrap();
-        vec![render_cs1(&fast, fast_df), render_cs1(&full, full_df)]
+        render_cs1(&fast, fast_df)
     };
     let mut rng = StdRng::seed_from_u64(47);
     let mut entries = |n: usize| {
@@ -669,8 +681,8 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
                 candidate: answers(&rec_b, &wl, topk),
                 body,
             };
-            let apart = entry.incumbent.iter().all(|a| !entry.candidate.contains(a));
-            if apart || !airchitect_online::sampler::sampled(&key, ppm) {
+            if entry.incumbent != entry.candidate || !airchitect_online::sampler::sampled(&key, ppm)
+            {
                 out.push(entry);
             }
         }
@@ -715,8 +727,8 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
             .iter()
             .any(|e| e.version == v && e.quarantined)
     };
-    // Cache hits, bypass answers and batched jobs while the regressed
-    // candidate is staged.
+    // Cache hits, inline top-1 answers and ranked-pool answers while the
+    // regressed candidate is staged.
     let paths = || {
         [
             metrics::SERVE_CACHE_HITS.get(),
@@ -731,9 +743,12 @@ fn rollout_soak_rejects_bad_checkpoints_and_promotes_a_good_one() {
                 total.fetch_add(1, Ordering::Relaxed);
                 match resp {
                     Ok(r) if r.status == 200 => {
-                        let says = |answers: &[String]| answers.iter().any(|a| r.body.contains(a));
-                        if !says(&entry.incumbent) {
-                            let tally = if says(&entry.candidate) { &candidate_answers } else { &wrong };
+                        if !r.body.contains(&entry.incumbent) {
+                            let tally = if r.body.contains(&entry.candidate) {
+                                &candidate_answers
+                            } else {
+                                &wrong
+                            };
                             tally.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -843,7 +858,7 @@ fn inject(spec: &str, enough: impl Fn(u64) -> bool) -> u64 {
 }
 
 /// One cycle of the chaos schedule. Every fault aims at `serve.infer`,
-/// which both the single-query bypass and the batch queue reach. Returns
+/// which every model answer reaches, inline or on the ranked pool. Returns
 /// how often each fault fired: error burst, delay, panic, reload read.
 #[cfg(feature = "chaos")]
 fn fault_cycle(addr: SocketAddr) -> [u64; 4] {
@@ -854,8 +869,8 @@ fn fault_cycle(addr: SocketAddr) -> [u64; 4] {
     let errors = inject("serve.infer=err(other)", |_| {
         metrics::SERVE_BREAKER_OPENS.get() > opens
     });
-    // Latency injection rides under the 2 s deadline but stalls whichever
-    // thread answers: the shard on the bypass, a worker on the queue.
+    // Latency injection rides under the 2 s deadline but stalls the thread
+    // that answers: the shard, for these top-1 requests.
     let delays = inject("serve.infer=delay(40):0.3:20", |fired| fired > 0);
     // A panic must cost exactly one 500.
     let panics = inject("serve.infer=panic:1:1", |fired| fired > 0);
@@ -875,8 +890,8 @@ fn fault_cycle(addr: SocketAddr) -> [u64; 4] {
 
 /// Load under a cycling fault schedule, bounded by completed fault cycles
 /// rather than by request count, so every cycle lands on live traffic.
-/// Every 200 must carry the model's own answer (f32 or int8) or the
-/// exhaustive-search optimum; no client may hang; 5xx may not exceed one
+/// Every 200 must carry the model's own int8 answer (every top-1 request
+/// is answered inline by the int8 pass) or the exhaustive-search optimum; no client may hang; 5xx may not exceed one
 /// per injected error or panic plus 1 % of the load; every scheduled fault
 /// must fire in every cycle; the fallback must answer at least once; and
 /// model serving must resume once the faults drain.
@@ -889,7 +904,6 @@ fn chaos_soak_answers_correctly_through_cycling_faults() {
     /// A request body with every answer the server may legitimately give.
     struct Entry {
         body: String,
-        f32: String,
         int8: String,
         search: String,
     }
@@ -909,8 +923,6 @@ fn chaos_soak_answers_correctly_through_cycling_faults() {
     let pool: Vec<Entry> = (0..48)
         .map(|_| {
             let wl = random_workload(&mut rng);
-            let (array, df) = rec.recommend_array(&problem, &wl, BUDGET).unwrap();
-            let f32 = render_cs1(&array, df);
             let (array, df) = rec.recommend_array_fast(&problem, &wl, BUDGET).unwrap();
             let int8 = render_cs1(&array, df);
             let found = problem.search(&wl, BUDGET);
@@ -918,7 +930,6 @@ fn chaos_soak_answers_correctly_through_cycling_faults() {
             let search = render_cs1(&array, df);
             Entry {
                 body: body(&wl),
-                f32,
                 int8,
                 search,
             }
@@ -930,7 +941,6 @@ fn chaos_soak_answers_correctly_through_cycling_faults() {
         model_paths: vec![model_path.clone()],
         workers: 4,
         queue_depth: 1024,
-        batch_max: 16,
         cache_capacity: 0, // every answer must be computed under fault
         read_timeout_secs: 30,
         deadline_ms: 2_000,
@@ -959,7 +969,7 @@ fn chaos_soak_answers_correctly_through_cycling_faults() {
                     let has = |answer: &str| r.body.contains(answer);
                     if has("\"source\":\"search\"") && has(&e.search) {
                         &from_search
-                    } else if has("\"source\":\"model\"") && (has(&e.f32) || has(&e.int8)) {
+                    } else if has("\"source\":\"model\"") && has(&e.int8) {
                         &from_model
                     } else {
                         &wrong

@@ -86,33 +86,6 @@ impl Default for Log2Binner {
     }
 }
 
-/// Maximum number of bins [`pack_bins`] can pack into one `u128` key.
-pub const MAX_PACKED_BINS: usize = 16;
-
-/// Packs a tuple of per-feature bin indices into a single `u128` key,
-/// 8 bits per feature, feature 0 in the low byte.
-///
-/// This is the memo-cache key for the quantized inference path: because
-/// every feature is already a small discrete vocabulary (≤ 256 bins), the
-/// entire quantized input of up to [`MAX_PACKED_BINS`] features fits in
-/// one integer compare.
-///
-/// # Panics
-///
-/// Panics if `bins.len() > MAX_PACKED_BINS`.
-#[inline]
-pub fn pack_bins(bins: &[u8]) -> u128 {
-    assert!(
-        bins.len() <= MAX_PACKED_BINS,
-        "pack_bins: at most {MAX_PACKED_BINS} features fit in one key"
-    );
-    let mut key = 0u128;
-    for (i, &b) in bins.iter().enumerate() {
-        key |= u128::from(b) << (8 * i);
-    }
-    key
-}
-
 /// Per-column z-score normalizer fit on a training set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Normalizer {
@@ -223,25 +196,6 @@ mod tests {
         // The guard does not disturb ordinary values.
         assert_eq!(q.bin(1.0), 0);
         assert_eq!(q.bin(4.0), 4);
-    }
-
-    #[test]
-    fn pack_bins_is_positional_and_injective_per_slot() {
-        assert_eq!(pack_bins(&[]), 0);
-        assert_eq!(pack_bins(&[7]), 7);
-        assert_eq!(pack_bins(&[1, 2]), 0x0201);
-        assert_eq!(pack_bins(&[0, 0, 255]), 0xFF0000);
-        // Distinct tuples of the same arity get distinct keys.
-        assert_ne!(pack_bins(&[1, 2, 3]), pack_bins(&[3, 2, 1]));
-        // 16 features (the CS3 case is 12) fill the key exactly.
-        let full = [0xABu8; 16];
-        assert_eq!(pack_bins(&full), u128::from_le_bytes(full));
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 16 features")]
-    fn pack_bins_rejects_oversized_tuples() {
-        let _ = pack_bins(&[0u8; 17]);
     }
 
     #[test]

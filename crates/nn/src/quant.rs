@@ -32,21 +32,13 @@
 //!   at int8 speed.
 //!
 //! A query executes as **one fused pass** over a caller-owned
-//! [`QuantArena`] — preallocated buffers plus a direct-mapped
-//! embedding-concat memo keyed on the packed input bin tuple
-//! ([`airchitect_data::quantize::pack_bins`]). After the arena has warmed
+//! [`QuantArena`] of preallocated buffers: it gathers its embedding-concat
+//! row (64–192 int8 values), then runs the MLP. After the arena has warmed
 //! up, a query performs **zero heap allocations** (proven by the
-//! counting-allocator test in `tests/zero_alloc.rs`).
-//!
-//! Memo entries are stamped with the owning network's process-unique id,
-//! so swapping in a new `QuantizedNetwork` (a serve hot-reload) makes
-//! every cached row miss without the arena ever being told — invalidation
-//! is free and race-proof.
+//! counting-allocator test in `tests/zero_alloc.rs`). The arena keeps
+//! nothing from one query to the next, so one arena serves any number of
+//! networks, and a serve hot-reload needs no invalidation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use airchitect_data::quantize::{pack_bins, MAX_PACKED_BINS};
-use airchitect_telemetry::metrics;
 use airchitect_tensor::qgemm;
 use bytes::{Buf, BufMut, Bytes};
 
@@ -56,9 +48,6 @@ use crate::serialize::{get_values, put_values, ModelCodecError};
 
 const MAGIC: &[u8; 4] = b"AIQN";
 const VERSION: u32 = 1;
-
-/// Direct-mapped embedding-concat memo slots per arena.
-const MEMO_SLOTS: usize = 512;
 
 /// How many of the int8 pass's best candidates get their logits
 /// recomputed in f32. Disagreements between the quantized and f32 argmax
@@ -110,15 +99,8 @@ struct QuantDense {
 
 /// A compiled int8 inference artifact built offline from a trained f32
 /// [`Sequential`] — see the module docs for the scheme.
-///
-/// Cloning preserves the id: clones hold bit-identical weights, so memo
-/// rows written by one are valid for the other.
 #[derive(Debug, Clone)]
 pub struct QuantizedNetwork {
-    /// Process-unique identity used to stamp (and thereby invalidate)
-    /// memo entries. Never serialized: a reloaded artifact is a new
-    /// identity by design.
-    id: u64,
     /// Per-feature embedding scales. Inference never reads these — they
     /// are pre-folded into the first dense layer's quantized weights —
     /// but they document the scheme and keep the codec self-describing.
@@ -130,11 +112,6 @@ pub struct QuantizedNetwork {
     /// layer (no f32 hidden vector exists to rescore from).
     last_w_f32: Vec<f32>,
     max_dim: usize,
-}
-
-fn next_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Symmetric int8 quantization of `src` into `dst`: `scale = max|v| / 127`,
@@ -326,7 +303,6 @@ impl QuantizedNetwork {
             Vec::new()
         };
         Ok(Self {
-            id: next_id(),
             emb_scales,
             embedding,
             layers,
@@ -384,42 +360,20 @@ impl QuantizedNetwork {
         );
         arena.ensure(self);
         let row_len = self.row_len();
-        // Locate (or build) the i8 embedding-concat row. The memo is the
-        // row storage itself, so a hit skips both the gather and any copy.
-        let memo_off = if self.embedding.num_features <= MAX_PACKED_BINS {
-            let key = pack_bins(bins);
-            let slot = memo_slot(key);
-            let off = slot * arena.memo_row_len;
-            if arena.memo_ids[slot] == self.id && arena.memo_keys[slot] == key {
-                metrics::QUANT_MEMO_HITS.inc();
-            } else {
-                metrics::QUANT_MEMO_MISSES.inc();
-                self.gather(bins, &mut arena.memo_rows[off..off + row_len]);
-                arena.memo_ids[slot] = self.id;
-                arena.memo_keys[slot] = key;
-            }
-            Some(off)
-        } else {
-            self.gather(bins, &mut arena.concat[..row_len]);
-            None
-        };
+        self.gather(bins, &mut arena.concat[..row_len]);
         let QuantArena {
             acc,
             act_q,
             act_u8,
             f,
             hidden,
-            memo_rows,
             concat,
             logits_len,
             topk_cache,
             topk_len,
             ..
         } = arena;
-        let row: &[i16] = match memo_off {
-            Some(off) => &memo_rows[off..off + row_len],
-            None => &concat[..row_len],
-        };
+        let row: &[i16] = &concat[..row_len];
         let mut prev_relu = false;
         for (li, layer) in self.layers.iter().enumerate() {
             let in_scale = if li == 0 {
@@ -621,7 +575,6 @@ impl QuantizedNetwork {
         }
         let max_dim = layers.iter().map(|l| l.out_dim).max().unwrap_or(0);
         Ok(Self {
-            id: next_id(),
             emb_scales,
             embedding: QuantEmbedding {
                 num_features,
@@ -680,17 +633,6 @@ fn top_k_into(v: &[f32], top: &mut [u32]) -> usize {
     len
 }
 
-#[inline]
-fn memo_slot(key: u128) -> usize {
-    // splitmix64 over the folded key: cheap, and good enough dispersion
-    // for a direct-mapped cache.
-    let mut x = (key as u64) ^ ((key >> 64) as u64);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((x ^ (x >> 31)) as usize) % MEMO_SLOTS
-}
-
 fn get_u8(buf: &mut &[u8]) -> Result<u8, ModelCodecError> {
     if buf.is_empty() {
         return Err(ModelCodecError::Corrupt("truncated byte"));
@@ -735,14 +677,14 @@ fn get_i8_values(buf: &mut &[u8]) -> Result<Vec<i8>, ModelCodecError> {
     Ok(out)
 }
 
-/// Per-worker scratch state for the fused pass: preallocated compute
-/// buffers plus the direct-mapped embedding-concat memo.
+/// Per-thread scratch state for the fused pass: preallocated compute
+/// buffers.
 ///
 /// Create one per thread (or borrow one from a thread-local) and reuse it
 /// across queries; after the first query against a given network shape,
 /// subsequent queries allocate nothing. One arena may serve several
-/// networks — memo entries are stamped with the owning network's id, so
-/// models never read each other's rows.
+/// networks: each query rewrites every buffer it reads, so no state
+/// carries over from one query, or one network, to the next.
 #[derive(Debug)]
 pub struct QuantArena {
     acc: Vec<i32>,
@@ -763,13 +705,9 @@ pub struct QuantArena {
     topk_len: usize,
     logits_len: usize,
     ranked: Vec<u32>,
-    /// Fallback concat staging for networks too wide for the packed key.
+    /// The query's embedding-concat row: int8-valued, pre-widened to
+    /// `i16` like `act_q`.
     concat: Vec<i16>,
-    memo_keys: Vec<u128>,
-    /// Owning network id per slot; 0 = empty.
-    memo_ids: Vec<u64>,
-    memo_rows: Vec<i16>,
-    memo_row_len: usize,
 }
 
 impl QuantArena {
@@ -787,10 +725,6 @@ impl QuantArena {
             logits_len: 0,
             ranked: Vec::new(),
             concat: Vec::new(),
-            memo_keys: vec![0; MEMO_SLOTS],
-            memo_ids: vec![0; MEMO_SLOTS],
-            memo_rows: Vec::new(),
-            memo_row_len: 0,
         }
     }
 
@@ -809,13 +743,6 @@ impl QuantArena {
         let row_len = net.row_len();
         if self.concat.len() < row_len {
             self.concat.resize(row_len, 0);
-        }
-        if self.memo_row_len < row_len {
-            // Slot offsets change with the row stride: drop every entry.
-            self.memo_row_len = row_len;
-            self.memo_rows.clear();
-            self.memo_rows.resize(MEMO_SLOTS * row_len, 0);
-            self.memo_ids.fill(0);
         }
     }
 
@@ -1093,28 +1020,31 @@ mod tests {
         );
     }
 
+    /// One arena shared by two networks reproduces each network's logits
+    /// bit for bit: nothing of one query carries over to the next.
     #[test]
     fn memo_entries_are_stamped_per_network() {
         let net_a = Sequential::embedding_mlp(2, 8, 4, 8, 6, 1);
         let net_b = Sequential::embedding_mlp(2, 8, 4, 8, 6, 2);
         let qa = QuantizedNetwork::from_network(&net_a).unwrap();
         let qb = QuantizedNetwork::from_network(&net_b).unwrap();
-        let mut arena = QuantArena::new();
         let bins = [3u8, 5];
-        qa.infer(&bins, &mut arena);
-        let first: Vec<f32> = arena.logits().to_vec();
-        // Same bins on a different network: the memo slot must not leak
-        // network A's embedding row into network B's pass.
-        qb.infer(&bins, &mut arena);
-        let other: Vec<f32> = arena.logits().to_vec();
+        let alone = |net: &QuantizedNetwork| {
+            let mut arena = QuantArena::new();
+            net.infer(&bins, &mut arena);
+            arena.logits().to_vec()
+        };
+        let (first, other) = (alone(&qa), alone(&qb));
         assert_ne!(first, other, "two differently-seeded nets must disagree");
-        // Back to A: the (possibly evicted, then rebuilt) row reproduces
-        // the original logits bit for bit.
-        qa.infer(&bins, &mut arena);
-        assert_eq!(first, arena.logits());
-        // And a hot repeat is stable too.
-        qa.infer(&bins, &mut arena);
-        assert_eq!(first, arena.logits());
+        let mut arena = QuantArena::new();
+        for _ in 0..2 {
+            // Same bins on the other network: nothing of A's pass may leak
+            // into B's, or back.
+            qa.infer(&bins, &mut arena);
+            assert_eq!(first, arena.logits());
+            qb.infer(&bins, &mut arena);
+            assert_eq!(other, arena.logits());
+        }
     }
 
     #[test]

@@ -232,9 +232,9 @@ fn steady_state_training_batches_do_not_allocate() {
 
     // The int8 single-query path is allocation-free as well: once the
     // arena has been sized by a first query against this network's
-    // shape, further queries — including memo misses, which write into
-    // the preallocated memo storage, and every ranking accessor — must
-    // not touch the allocator.
+    // shape, further queries — each gathering its embedding row into the
+    // preallocated concat row, and every ranking accessor — must not touch
+    // the allocator.
     let emb_net = Sequential::embedding_mlp(3, 8, 4, 16, 6, 17);
     let quant = QuantizedNetwork::from_network(&emb_net).unwrap();
     let mut arena = QuantArena::new();

@@ -1,28 +1,28 @@
-//! Bounded admission queue and the micro-batching worker pool.
+//! Request answering and the bounded queues behind the off-loop pools.
 //!
-//! The listener's shards validate and enqueue [`Job`]s; a fixed pool of
-//! workers drains the queue in batches of up to `batch_max`, snapshots the
-//! current model **once per batch per case study**, and answers every job
-//! in the batch from that snapshot. The snapshot discipline is what makes
-//! hot-reload safe: a batch started before a swap finishes entirely on the
-//! old model, so no response ever mixes two models.
+//! A shard answers every top-1 query inline with the int8 pass
+//! ([`execute_fast`]); a ranked query runs the f32 pass ([`execute`]) on
+//! the ranked pool, an [`OffLoop`] sized by `workers` and `queue_depth`.
+//! Both go through the listener's one `answer` function, which snapshots
+//! the current model once per request: an answer started before a
+//! hot-reload finishes entirely on the old model, so no response ever
+//! mixes two models.
 //!
-//! Admission control is reject-on-full rather than block-on-full: when the
-//! queue holds `depth` jobs the push fails immediately and the connection
-//! answers `429` with `Retry-After`, keeping queue latency bounded for the
-//! requests that *are* admitted.
+//! Admission control is reject-on-full rather than block-on-full: when a
+//! pool's queue holds `depth` jobs the push fails immediately and the
+//! connection answers `429` with `Retry-After`, keeping queue latency
+//! bounded for the requests that *are* admitted.
 //!
-//! Work that may block — a replica's reloads and rollbacks, the cluster
-//! router's forwarded requests and control calls — runs on an [`OffLoop`]:
-//! the same bounded queue drained by a fixed set of threads, answering
-//! through the same [`CompletionQueue`] the batch workers use. The shadow
-//! pool (`crate::shadow`) drains one more [`Queue`], of sampled requests.
+//! Other work that may block — a replica's reloads and rollbacks, the
+//! cluster router's forwarded requests and control calls — runs on an
+//! [`OffLoop`] too, answering through the shard's [`CompletionQueue`]. The
+//! shadow pool (`crate::shadow`) drains one more [`Queue`], of sampled
+//! requests.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use airchitect_telemetry::metrics::SERVE_WAKEUPS;
 
@@ -30,13 +30,10 @@ use airchitect::model::CaseStudy;
 use airchitect::recommend::RecommendError;
 use airchitect_dse::case2::Case2Query;
 use airchitect_telemetry::json::write_f64;
-use airchitect_telemetry::metrics;
 use airchitect_workload::GemmWorkload;
 
-use crate::breaker::{Admit, Breakers};
-use crate::fallback::Oracle;
 use crate::http::Response;
-use crate::reload::{case_name, CaseProblem, LoadedModel, ModelHub};
+use crate::reload::{case_name, CaseProblem, LoadedModel};
 
 /// A decoded, validated recommendation query.
 #[derive(Debug, Clone)]
@@ -81,7 +78,7 @@ pub enum Source {
     Search,
 }
 
-/// A worker's answer, ready for HTTP framing by the owning shard.
+/// An answer, ready for HTTP framing by the owning shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// Success: the rendered response JSON minus its leading `{` (the
@@ -107,17 +104,28 @@ pub enum Outcome {
     },
 }
 
-/// What a job hands back to the shard that queued it.
+/// What an off-loop step hands back to the shard that queued it.
 #[derive(Debug)]
 pub enum Done {
-    /// A batch worker's inference outcome; the shard frames (and caches)
-    /// it.
+    /// A ranked-pool answer; the shard frames (and caches) it.
     Outcome(Outcome),
-    /// A finished response from an [`OffLoop`] step.
+    /// A finished response.
     Response(Response),
 }
 
-/// Where a worker delivers its [`Outcome`]: the shard that queued the job
+impl From<Outcome> for Done {
+    fn from(outcome: Outcome) -> Self {
+        Done::Outcome(outcome)
+    }
+}
+
+impl From<Response> for Done {
+    fn from(response: Response) -> Self {
+        Done::Response(response)
+    }
+}
+
+/// Where an off-loop step delivers its result: the shard that queued it
 /// never blocks on it, so the reply lands on that shard's
 /// [`CompletionQueue`] and an eventfd wake re-arms the connection inside
 /// the loop.
@@ -132,27 +140,12 @@ pub struct Reply {
     pub req: u64,
 }
 
-impl Reply {
-    /// Delivers `outcome`. If the client has gone, the shard discards it
-    /// by token.
-    pub fn send(&self, outcome: Outcome) {
-        self.queue.push(self.conn, self.req, Done::Outcome(outcome));
-    }
-
-    /// Delivers a finished response, discarded by token like
-    /// [`Reply::send`].
-    pub fn respond(&self, response: Response) {
-        self.queue
-            .push(self.conn, self.req, Done::Response(response));
-    }
-}
-
 /// A completion delivered to an evented shard: `(connection token,
 /// request sequence, result)`.
 pub type Completion = (u64, u64, Done);
 
-/// Mailbox between batch workers and one evented shard. Workers push
-/// finished outcomes; the shard drains after an eventfd wake. The wake is
+/// Mailbox between the off-loop pools and one evented shard. Pool threads
+/// push finished work; the shard drains after an eventfd wake. The wake is
 /// only issued on the empty→non-empty transition, so a burst of
 /// completions costs one syscall, not one per job.
 #[derive(Debug)]
@@ -228,25 +221,6 @@ impl CompletionQueue {
     }
 }
 
-/// One queued request.
-#[derive(Debug)]
-pub struct Job {
-    /// The validated query.
-    pub query: RecQuery,
-    /// Ranked-list size; `0` means top-1.
-    pub topk: usize,
-    /// Where the worker's answer goes.
-    pub reply: Reply,
-    /// End-to-end deadline; a job past it is answered 504, never executed.
-    pub deadline: Option<Instant>,
-}
-
-impl Job {
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
@@ -265,7 +239,7 @@ struct State<T> {
 /// channel with try-push semantics). A refused push is the caller's to
 /// count: a refused request is `serve.rejected`, a dropped shadow sample
 /// is not.
-pub struct Queue<T = Job> {
+pub struct Queue<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
     depth: usize,
@@ -304,31 +278,19 @@ impl<T> Queue<T> {
         Ok(())
     }
 
-    /// Blocks until work is available, then drains up to `max` jobs.
-    /// Returns an empty batch only when the queue is shut down *and*
-    /// drained — the worker-exit signal.
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
+    /// Blocks until a job is available and takes it. Returns `None` only
+    /// when the queue is shut down *and* drained — the worker-exit signal.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
-            if !state.jobs.is_empty() {
-                let n = state.jobs.len().min(max.max(1));
-                return state.jobs.drain(..n).collect();
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
             }
             if state.shutdown {
-                return Vec::new();
+                return None;
             }
             state = self.ready.wait(state).expect("queue poisoned");
         }
-    }
-
-    /// Number of jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").jobs.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Stops admission and wakes every worker; already-queued jobs are
@@ -339,18 +301,18 @@ impl<T> Queue<T> {
     }
 }
 
-/// One unit of blocking work and where its response goes.
+/// One unit of blocking work and where its result goes.
 struct Task<S> {
     reply: Reply,
-    work: Box<dyn FnOnce(&mut S) -> Response + Send>,
+    work: Box<dyn FnOnce(&mut S) -> Done + Send>,
 }
 
 /// The off-loop step: a bounded queue of blocking work drained by a fixed
 /// set of threads, each owning one `S` for its whole life (the router's
 /// keep-alive backend connections), so that state needs no lock. The
 /// shard that submits a step parks the connection; the thread answers
-/// through the [`Reply`], exactly as a batch worker does. A full queue
-/// refuses the step ([`PushError::Full`]) instead of blocking the loop.
+/// through the [`Reply`]. A full queue refuses the step
+/// ([`PushError::Full`]) instead of blocking the loop.
 pub(crate) struct OffLoop<S> {
     queue: Queue<Task<S>>,
 }
@@ -378,15 +340,17 @@ impl<S: Default + 'static> OffLoop<S> {
             .collect()
     }
 
-    /// Queues `work`; its response reaches the connection through `reply`.
-    pub(crate) fn submit(
+    /// Queues `work`; its result (a finished [`Response`], or an
+    /// [`Outcome`] for the shard to frame) reaches the connection through
+    /// `reply`.
+    pub(crate) fn submit<R: Into<Done>>(
         &self,
         reply: Reply,
-        work: impl FnOnce(&mut S) -> Response + Send + 'static,
+        work: impl FnOnce(&mut S) -> R + Send + 'static,
     ) -> Result<(), PushError> {
         self.queue.push(Task {
             reply,
-            work: Box::new(work),
+            work: Box::new(move |state| work(state).into()),
         })
     }
 
@@ -397,160 +361,17 @@ impl<S: Default + 'static> OffLoop<S> {
 
     fn drain(&self) {
         let mut state = S::default();
-        loop {
-            let tasks = self.queue.pop_batch(1);
-            if tasks.is_empty() {
-                return;
-            }
-            for task in tasks {
-                // A panicking step costs its request one 500; the thread,
-                // and the connection waiting on it, carry on.
-                let response = catch_unwind(AssertUnwindSafe(|| (task.work)(&mut state)))
-                    .unwrap_or_else(|_| {
-                        Response::error(500, "internal_panic", "the request handler panicked")
-                    });
-                task.reply.respond(response);
-            }
-        }
-    }
-}
-
-/// Spawns `workers` threads draining `queue` in batches of `batch_max`.
-/// The threads exit (joinable) after [`Queue::shutdown`] once the queue is
-/// empty.
-pub fn spawn_workers(
-    workers: usize,
-    batch_max: usize,
-    queue: Arc<Queue>,
-    hub: Arc<ModelHub>,
-    breakers: Arc<Breakers>,
-    fallback: Option<Arc<Oracle>>,
-) -> Vec<JoinHandle<()>> {
-    (0..workers.max(1))
-        .map(|i| {
-            let queue = Arc::clone(&queue);
-            let hub = Arc::clone(&hub);
-            let breakers = Arc::clone(&breakers);
-            let fallback = fallback.clone();
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&queue, &hub, batch_max, &breakers, fallback.as_deref()))
-                .expect("spawn worker thread")
-        })
-        .collect()
-}
-
-fn worker_loop(
-    queue: &Queue,
-    hub: &ModelHub,
-    batch_max: usize,
-    breakers: &Breakers,
-    fallback: Option<&Oracle>,
-) {
-    loop {
-        let batch = queue.pop_batch(batch_max);
-        if batch.is_empty() {
-            return;
-        }
-        metrics::SERVE_BATCHES.inc();
-        metrics::SERVE_BATCHED_JOBS.add(batch.len() as u64);
-        metrics::SERVE_BATCH_JOBS.record(batch.len() as u64);
-        // One snapshot per case study per batch: every job in this batch
-        // for a given case sees the same model, even mid-reload.
-        let mut snapshots: [Option<Option<Arc<LoadedModel>>>; 3] = [None, None, None];
-        for job in batch {
-            let slot = match job.query.case() {
-                CaseStudy::ArrayDataflow => 0,
-                CaseStudy::BufferSizing => 1,
-                CaseStudy::MultiArrayScheduling => 2,
-            };
-            let snap = snapshots[slot]
-                .get_or_insert_with(|| hub.get(job.query.case()))
-                .clone();
-            let outcome = answer_job(&job, snap.as_deref(), breakers, fallback);
-            job.reply.send(outcome);
-        }
-    }
-}
-
-/// Answers one job: deadline check, breaker admission, panic-isolated
-/// inference, and the degraded-mode fallback when the model is missing or
-/// its circuit is open.
-fn answer_job(
-    job: &Job,
-    model: Option<&LoadedModel>,
-    breakers: &Breakers,
-    fallback: Option<&Oracle>,
-) -> Outcome {
-    // A job that already blew its budget waiting in the queue is dropped
-    // here: the client has (or is about to) time out, so doing the work
-    // would only add load exactly when the server is already behind.
-    if job.expired() {
-        metrics::SERVE_DEADLINE_EXCEEDED.inc();
-        return Outcome::Err {
-            status: 504,
-            code: "deadline_exceeded",
-            message: "request deadline expired before execution".into(),
-        };
-    }
-    let Some(model) = model else {
-        return fallback_or(fallback, job, || Outcome::Err {
-            status: 503,
-            code: "model_not_loaded",
-            message: format!(
-                "no model loaded for case study `{}`",
-                case_name(job.query.case())
-            ),
-        });
-    };
-    let breaker = breakers.infer(job.query.case());
-    match breaker.try_acquire() {
-        Admit::No => fallback_or(fallback, job, || Outcome::Err {
-            status: 503,
-            code: "circuit_open",
-            message: format!(
-                "inference circuit for `{}` is open; retry after cooldown",
-                case_name(job.query.case())
-            ),
-        }),
-        Admit::Yes => {
-            // Panic isolation: a poisoned model or injected panic costs one
-            // 500, never a dead worker thread.
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_inference(model, job)))
-                .unwrap_or_else(|_| Outcome::Err {
-                    status: 500,
-                    code: "inference_panic",
-                    message: "inference panicked; the job was isolated".into(),
+        while let Some(task) = self.queue.pop() {
+            // A panicking step costs its request one 500; the thread,
+            // and the connection waiting on it, carry on.
+            let done =
+                catch_unwind(AssertUnwindSafe(|| (task.work)(&mut state))).unwrap_or_else(|_| {
+                    Response::error(500, "internal_panic", "the request handler panicked").into()
                 });
-            // Only 5xx-class outcomes count against the breaker: a 422 for
-            // an infeasible budget is the query's fault, not the model's.
-            let failed = matches!(&outcome, Outcome::Err { status, .. } if *status >= 500);
-            if failed {
-                metrics::SERVE_INFER_FAILURES.inc();
-            }
-            breaker.record(!failed);
-            outcome
+            // If the client has gone, the shard discards it by token.
+            let Reply { queue, conn, req } = task.reply;
+            queue.push(conn, req, done);
         }
-    }
-}
-
-fn run_inference(model: &LoadedModel, job: &Job) -> Outcome {
-    airchitect_chaos::fail_point!("serve.batch.dispatch");
-    airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
-        status: 500,
-        code: "inference_failed",
-        message: e.to_string(),
-    });
-    execute(model, &job.query, job.topk)
-}
-
-fn fallback_or(fallback: Option<&Oracle>, job: &Job, otherwise: impl FnOnce() -> Outcome) -> Outcome {
-    match fallback {
-        Some(oracle) => {
-            metrics::SERVE_FALLBACKS.inc();
-            oracle.answer(&job.query, job.topk)
-        }
-        None => otherwise(),
     }
 }
 
@@ -670,12 +491,12 @@ pub fn execute(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
     }
 }
 
-/// Runs one top-1 query inline on the int8-quantized hot path and renders
-/// exactly the body [`execute`] produces for `topk == 0`. This is the
-/// listener's single-query bypass: no queue hop, no micro-batch, no
-/// worker thread — the shard answers directly.
+/// Runs one top-1 query on the int8-quantized hot path and renders
+/// exactly the body [`execute`] produces for `topk == 0`. A shard answers
+/// every top-1 request with it, inline: no queue hop, no worker thread. A
+/// model the quantizer rejected answers from its f32 network here.
 ///
-/// The `serve.infer` failpoint fires here as on the batched path, so
+/// The `serve.infer` failpoint fires here as on the ranked path, so
 /// injected inference faults (and the breaker accounting the caller does
 /// on them) behave identically on both paths.
 pub fn execute_fast(model: &LoadedModel, query: &RecQuery) -> Outcome {
@@ -735,15 +556,22 @@ pub fn execute_fast(model: &LoadedModel, query: &RecQuery) -> Outcome {
 
 /// Panic-isolated answer on one snapshot: [`execute_fast`] for a top-1
 /// query, [`execute`] for a ranked one. A poisoned model costs one 500,
-/// never the thread that hit it (a shard's bypass or a shadow-pool
-/// thread).
+/// never the thread that hit it (a shard, a ranked-pool or a shadow-pool
+/// thread). A ranked query fires the `serve.batch.dispatch` and
+/// `serve.infer` failpoints first: it only ever runs off the event loops,
+/// so a stall injected there holds a pool thread, never a shard.
 pub(crate) fn guarded(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
     catch_unwind(AssertUnwindSafe(|| {
         if topk == 0 {
-            execute_fast(model, query)
-        } else {
-            execute(model, query, topk)
+            return execute_fast(model, query);
         }
+        airchitect_chaos::fail_point!("serve.batch.dispatch");
+        airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
+            status: 500,
+            code: "inference_failed",
+            message: e.to_string(),
+        });
+        execute(model, query, topk)
     }))
     .unwrap_or_else(|_| Outcome::Err {
         status: 500,
@@ -817,58 +645,39 @@ pub(crate) fn render_schedule(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
 
-    fn dummy_job(tag: u64) -> Job {
-        Job {
-            query: RecQuery::Array {
-                workload: GemmWorkload::new(tag + 1, 64, 64).unwrap(),
-                mac_budget: 1024,
-            },
-            topk: 0,
-            reply: Reply {
-                queue: Arc::new(CompletionQueue::new().unwrap()),
-                conn: tag,
-                req: tag,
-            },
-            deadline: None,
-        }
+    /// Every job left in a shut-down queue, in pop order.
+    fn drained(q: &Queue<u64>) -> Vec<u64> {
+        q.shutdown();
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
     #[test]
     fn full_queue_rejects_immediately() {
         let q = Queue::new(2);
-        q.push(dummy_job(1)).unwrap();
-        q.push(dummy_job(2)).unwrap();
-        assert_eq!(q.push(dummy_job(3)).unwrap_err(), PushError::Full);
-        assert_eq!(q.len(), 2);
+        q.push(1).unwrap();
+        q.push(2).unwrap();
+        assert_eq!(q.push(3).unwrap_err(), PushError::Full);
+        assert_eq!(drained(&q), [1, 2]);
     }
 
     #[test]
     fn zero_depth_rejects_everything() {
         let q = Queue::new(0);
-        assert_eq!(q.push(dummy_job(1)).unwrap_err(), PushError::Full);
+        assert_eq!(q.push(1).unwrap_err(), PushError::Full);
     }
 
     #[test]
     fn shutdown_refuses_new_work_but_drains_old() {
         let q = Queue::new(8);
-        q.push(dummy_job(1)).unwrap();
+        q.push(1).unwrap();
         q.shutdown();
-        assert_eq!(q.push(dummy_job(2)).unwrap_err(), PushError::ShuttingDown);
-        assert_eq!(q.pop_batch(16).len(), 1, "queued job survives shutdown");
-        assert!(q.pop_batch(16).is_empty(), "then the exit signal");
-    }
-
-    #[test]
-    fn pop_batch_respects_batch_max() {
-        let q = Queue::new(16);
-        for i in 0..10 {
-            q.push(dummy_job(i)).unwrap();
-        }
-        assert_eq!(q.pop_batch(4).len(), 4);
-        assert_eq!(q.pop_batch(4).len(), 4);
-        assert_eq!(q.pop_batch(4).len(), 2);
+        assert_eq!(q.push(2).unwrap_err(), PushError::ShuttingDown);
+        assert_eq!(q.pop(), Some(1), "queued job survives shutdown");
+        assert_eq!(q.pop(), None, "then the exit signal");
     }
 
     #[test]
@@ -917,7 +726,8 @@ mod tests {
         assert_eq!(pool.submit(reply(2), count).unwrap_err(), PushError::Full);
         let threads = pool.spawn("offloop-test", 1);
         wait_for(1);
-        pool.submit(reply(3), |_| panic!("injected")).unwrap();
+        pool.submit(reply(3), |_| -> Response { panic!("injected") })
+            .unwrap();
         wait_for(2);
         // The thread survived the panic and kept its state.
         pool.submit(reply(4), count).unwrap();
@@ -944,11 +754,11 @@ mod tests {
 
     #[test]
     fn blocked_pop_wakes_on_shutdown() {
-        let q = Arc::new(Queue::<Job>::new(4));
+        let q = Arc::new(Queue::<u64>::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4));
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.shutdown();
-        assert!(h.join().unwrap().is_empty());
+        assert_eq!(h.join().unwrap(), None);
     }
 }

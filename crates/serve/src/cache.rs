@@ -5,8 +5,8 @@
 //! in field order or float formatting share an entry. Every entry is
 //! stamped with the generation of the model that produced it; a lookup
 //! whose generation no longer matches the live model is treated as a miss,
-//! which makes hot-reload invalidation race-free: a worker still finishing
-//! an old-model batch can insert stale entries after the swap without any
+//! which makes hot-reload invalidation race-free: a thread still finishing
+//! an old-model answer can insert stale entries after the swap without any
 //! client ever observing them.
 
 use std::collections::HashMap;
@@ -193,7 +193,7 @@ mod tests {
         c.put(b"a".to_vec(), resp("A", 1));
         assert!(c.get(b"a", 2).is_none());
         assert_eq!(c.len(), 0);
-        // A stale late insertion from an old-model batch is also invisible.
+        // A stale late insertion from an old-model answer is also invisible.
         c.put(b"a".to_vec(), resp("OLD", 1));
         assert!(c.get(b"a", 2).is_none());
     }

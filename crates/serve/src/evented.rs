@@ -8,18 +8,18 @@
 //! bytes) → **dispatch** ([`Handler::step`], where the role it serves —
 //! replica or cluster router — makes every routing and admission
 //! decision) → **write** (buffered, flushed as `EPOLLOUT` allows).
-//! A request the handler queues for a batch worker or an off-loop thread
-//! parks the connection as `pending`; the answer comes back through the
-//! shard's [`CompletionQueue`], whose eventfd wakes the loop without the
-//! worker ever touching a socket.
+//! A request the handler queues for an off-loop thread (a ranked answer, a
+//! reload, a forward) parks the connection as `pending`; the answer comes
+//! back through the shard's [`CompletionQueue`], whose eventfd wakes the
+//! loop without the thread ever touching a socket.
 //!
 //! Timeouts have no per-socket kernel deadlines here (sockets are
 //! nonblocking), so a periodic sweep enforces them: idle keep-alive
 //! connections close at the read timeout, stalled writers at the write
 //! timeout, and a pending request whose deadline passes is answered 504
-//! *by the shard* — the worker's late outcome is then discarded by
-//! request-id mismatch, so a stuck worker still yields a timely 504 (the
-//! chaos suite pins this).
+//! *by the shard* — the thread's late outcome is then discarded by
+//! request-id mismatch, so a stuck pool thread still yields a timely 504
+//! (the chaos suite pins this).
 
 #![cfg(target_os = "linux")]
 
@@ -166,8 +166,7 @@ pub(crate) fn run_shards<H: Handler>(
     result
 }
 
-/// A request whose answer is owed by a batch worker or an off-loop
-/// thread.
+/// A request whose answer is owed by an off-loop thread.
 struct PendingReply {
     /// Request id this connection is waiting on; a completion with any
     /// other id (a post-timeout straggler) is discarded.

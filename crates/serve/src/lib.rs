@@ -6,13 +6,15 @@
 //! The socket handling is deliberately boring; the subsystem is the serving
 //! machinery around it:
 //!
-//! * **Admission control** ([`batch::Queue`]) — a bounded request queue.
-//!   When it is full, recommendation requests are rejected immediately with
-//!   `429 Too Many Requests` and a `Retry-After` header instead of piling
-//!   latency onto every queued caller.
-//! * **Micro-batching** ([`batch`]) — a fixed pool of worker threads drains
-//!   the queue in batches, snapshots the current model once per batch, and
-//!   answers every job in the batch from that snapshot.
+//! * **One answer path per request kind** ([`batch`]) — a shard answers
+//!   every top-1 query inline with the int8-quantized pass; a ranked
+//!   (`topk`) query runs the f32 pass on the ranked pool, a fixed set of
+//!   threads off the event loops. Each answer snapshots the current model
+//!   once.
+//! * **Admission control** ([`batch::Queue`]) — the ranked pool's queue is
+//!   bounded. When it is full, ranked requests are rejected immediately
+//!   with `429 Too Many Requests` and a `Retry-After` header instead of
+//!   piling latency onto every queued caller.
 //! * **Response caching** ([`cache`]) — an LRU keyed on the canonicalized
 //!   query (exact integer parameters, not the JSON text), with hit/miss
 //!   counters in the telemetry registry. Entries are stamped with the model
@@ -20,18 +22,19 @@
 //!   the whole cache without racing in-flight insertions.
 //! * **Hot reload** ([`reload::ModelHub`]) — `POST /v1/reload` re-reads the
 //!   registered model files (checksum-verified by the `AIRM` codec) and
-//!   atomically swaps an `Arc` per case study. In-flight batches finish on
-//!   the model they snapshotted; no request ever mixes two models.
+//!   atomically swaps an `Arc` per case study. An answer in flight
+//!   finishes on the model it snapshotted; no request ever mixes two
+//!   models.
 //! * **Evented c10k core** ([`listener`], `evented`, `reactor`) — the
 //!   listener is N event-loop shards, each with its own `SO_REUSEPORT`
 //!   acceptor and epoll reactor driving nonblocking connection state
-//!   machines; batch-worker replies re-arm their connection through a
-//!   completion queue + eventfd wakeup. Work that may block — reloads,
-//!   rollbacks, the cluster router's calls to its replicas — runs on a
-//!   bounded off-loop pool that answers through the same queue. The
+//!   machines. Work that may block — ranked answers, reloads, rollbacks,
+//!   the cluster router's calls to its replicas — runs on bounded
+//!   off-loop pools whose replies re-arm their connection through a
+//!   completion queue + eventfd wakeup. The
 //!   reactor is epoll, so serving needs Linux.
 //! * **Graceful shutdown** ([`listener`]) — `POST /v1/shutdown` stops the
-//!   shards accepting, lets the workers drain the queue, waits for every
+//!   shards accepting, lets the pools drain their queues, waits for every
 //!   connection to close, and returns from [`Server::run`] so the process
 //!   can exit 0.
 //! * **Cluster mode** ([`supervisor`], [`ring`], [`proxy`]) — `serve
@@ -94,13 +97,14 @@ pub struct ServeConfig {
     /// Trained `.airm` model files, at most one per case study. The paths
     /// are remembered for hot-reload.
     pub model_paths: Vec<PathBuf>,
-    /// Inference worker threads draining the queue.
+    /// Threads of the ranked pool, which answers ranked (`topk`) requests
+    /// with the f32 pass off the event loops. Top-1 requests never use
+    /// it: the shard that parsed one answers it inline.
     pub workers: usize,
-    /// Bounded queue depth; a full queue rejects with 429. Zero rejects
-    /// every uncached request (useful for admission-control testing).
+    /// Ranked requests that may wait for the ranked pool; a full queue
+    /// answers 429. Zero refuses every uncached ranked request (useful for
+    /// admission-control testing).
     pub queue_depth: usize,
-    /// Maximum jobs drained into one micro-batch.
-    pub batch_max: usize,
     /// LRU response-cache capacity in entries; zero disables caching.
     pub cache_capacity: usize,
     /// Idle keep-alive / read timeout per connection, seconds. Also bounds
@@ -125,13 +129,6 @@ pub struct ServeConfig {
     /// (`"source":"search"` + `Warning` header) instead of a 5xx. Also
     /// makes startup tolerate per-model load failures.
     pub fallback_search: bool,
-    /// Single-query bypass: when the queue is empty, answer top-1
-    /// requests inline on the int8-quantized hot path instead of taking
-    /// the micro-batch round-trip. Model-source answers only — missing
-    /// models, open circuits, ranked (`topk`) queries, and models the
-    /// quantizer rejected all take the queue path unchanged. Disable to
-    /// force every request through the queue (admission-control tests).
-    pub single_query_bypass: bool,
     /// Event-loop shards for the listener (each gets its own
     /// `SO_REUSEPORT` acceptor and epoll reactor); zero auto-selects from
     /// the CPU count.
@@ -160,7 +157,7 @@ pub struct ServeConfig {
     /// `serve.shadow.dropped`) rather than delaying requests.
     pub shadow_queue_depth: usize,
     /// Dedicated low-priority shadow worker threads (never borrowed from
-    /// the batch-worker pool); they score oracle and canary samples.
+    /// the ranked pool); they score oracle and canary samples.
     pub shadow_threads: usize,
     /// Versioned model registry directory (`--model-dir`). When set and
     /// `model_paths` is empty, the server boots from the registry's
@@ -196,7 +193,6 @@ impl Default for ServeConfig {
             model_paths: Vec::new(),
             workers: 2,
             queue_depth: 256,
-            batch_max: 16,
             cache_capacity: 4096,
             read_timeout_secs: 5,
             write_timeout_secs: 5,
@@ -204,7 +200,6 @@ impl Default for ServeConfig {
             breaker_threshold: 5,
             breaker_cooldown_ms: 1000,
             fallback_search: false,
-            single_query_bypass: true,
             event_loops: 0,
             threaded: false,
             nodelay: true,

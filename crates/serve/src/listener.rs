@@ -3,17 +3,20 @@
 //!
 //! The listener is N event-loop shards, each with its own `SO_REUSEPORT`
 //! acceptor and epoll reactor (`crate::evented`). Connections are
-//! nonblocking state machines; batch-worker replies come back through a
+//! nonblocking state machines; off-loop replies come back through a
 //! completion queue + eventfd wake. The shards serve any [`Handler`]: a
 //! replica's [`Inner`] here, the cluster router's state in
 //! [`proxy`](crate::proxy). Every replica request goes through
 //! [`handle_request_step`], so routing, admission control, deadlines,
-//! breakers, caching, bypass, and chaos semantics are decided in exactly
-//! one place. Reloads and rollbacks read and compile models and make
-//! fsynced registry writes, so they run on one control thread (an
-//! [`OffLoop`] of one), one at a time, while the shard keeps serving; a
-//! canary verdict's promote or rollback runs on the shadow pool that
-//! scores the canary (`crate::shadow`). No registry write runs on a shard.
+//! breakers, caching and chaos semantics are decided in exactly one place,
+//! and every recommend is answered by one function, [`Inner::answer`]: a
+//! top-1 query inline on the shard, a ranked one on the ranked pool (an
+//! [`OffLoop`] of `workers` threads). Reloads and rollbacks read and
+//! compile models and make fsynced registry writes, so they run on one
+//! control thread (an [`OffLoop`] of one), one at a time, while the shard
+//! keeps serving; a canary verdict's promote or rollback runs on the
+//! shadow pool that scores the canary (`crate::shadow`). No registry write
+//! runs on a shard.
 //!
 //! Shutdown protocol (`POST /v1/shutdown`):
 //!
@@ -21,9 +24,9 @@
 //!    after their in-flight request and the shards stop admitting sockets;
 //! 2. the handling connection gets its `200`; any request a shard
 //!    dispatches after the flip answers `503 draining`;
-//! 3. the queue stops admitting jobs but drains what it holds; workers
-//!    exit once it is empty;
-//! 4. [`Server::run`] joins every worker and shard and returns `Ok`,
+//! 3. the ranked pool and the control thread stop admitting work but
+//!    drain what they hold; their threads exit once it is done;
+//! 4. [`Server::run`] joins every pool thread and shard and returns `Ok`,
 //!    letting the process exit 0.
 
 use std::net::SocketAddr;
@@ -34,9 +37,7 @@ use std::time::{Duration, Instant};
 
 use airchitect_telemetry::metrics;
 
-use crate::batch::{
-    spawn_workers, CompletionQueue, Job, OffLoop, Outcome, PushError, Queue, Reply, Source,
-};
+use crate::batch::{self, CompletionQueue, OffLoop, Outcome, PushError, RecQuery, Reply, Source};
 use crate::breaker::{Admit, Breakers};
 use crate::cache::{CachedResponse, LruCache};
 use crate::canary::{Rollout, RolloutConfig};
@@ -45,7 +46,7 @@ pub(crate) use crate::evented;
 use crate::fallback::{self, Oracle};
 use crate::http::{Request, Response};
 use crate::registry::{Registry, DEFAULT_RETAIN};
-use crate::reload::ModelHub;
+use crate::reload::{case_name, ModelHub};
 use crate::router::{self, Route};
 use crate::{ServeConfig, ServeError};
 
@@ -159,7 +160,7 @@ pub(crate) trait Handler: Send + Sync + 'static {
     /// only invoked if the request is queued.
     fn step(this: &Arc<Self>, request: &Request, make_reply: &mut dyn FnMut() -> Reply) -> Step;
 
-    /// Frames a batch worker's outcome for the request that queued it.
+    /// Frames a ranked-pool outcome for the request that queued it.
     fn frame(&self, outcome: Outcome, started: Instant, cache_key: Vec<u8>) -> Response;
 }
 
@@ -167,13 +168,16 @@ pub(crate) trait Handler: Send + Sync + 'static {
 pub(crate) struct Inner {
     pub(crate) front: Front,
     pub(crate) hub: Arc<ModelHub>,
-    pub(crate) queue: Arc<Queue>,
+    /// The ranked pool: `workers` threads answering ranked requests, at
+    /// most `queue_depth` of them waiting.
+    pub(crate) ranked: Arc<OffLoop<()>>,
     /// The control thread: reloads and rollbacks, one at a time.
     pub(crate) control: Arc<OffLoop<()>>,
     pub(crate) cache: Mutex<LruCache>,
     pub(crate) breakers: Arc<Breakers>,
+    /// The degraded-mode oracle (`fallback_search`).
+    pub(crate) fallback: Option<Oracle>,
     pub(crate) deadline_ms: u64,
-    pub(crate) bypass: bool,
     /// The sampling hook and its scoring pool (shadow oracle and rollout
     /// canary); `None` when neither samples anything.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,
@@ -202,12 +206,13 @@ impl Handler for Inner {
 pub struct Server {
     addr: SocketAddr,
     inner: Arc<Inner>,
+    /// The ranked pool's threads.
     workers: Vec<JoinHandle<()>>,
     shards: Vec<evented::ShardSeed>,
 }
 
 impl Server {
-    /// Loads the models, binds the socket(s), and starts the worker pool.
+    /// Loads the models, binds the socket(s), and starts the ranked pool.
     /// Also enables telemetry recording (the serve counters are the
     /// product surface of `/metrics`); a bind that fails leaves recording
     /// as it found it.
@@ -286,21 +291,13 @@ impl Server {
             config.breaker_threshold,
             Duration::from_millis(config.breaker_cooldown_ms),
         ));
-        let fallback = config.fallback_search.then(|| Arc::new(Oracle::new()));
 
         let shards = evented::bind_shards(&config.addr, config.event_loops)?;
         let addr = shards[0].addr;
         let shadow = crate::shadow::ShadowState::start(config, &hub, &rollout)?;
 
-        let queue = Arc::new(Queue::new(config.queue_depth));
-        let workers = spawn_workers(
-            config.workers,
-            config.batch_max,
-            Arc::clone(&queue),
-            Arc::clone(&hub),
-            Arc::clone(&breakers),
-            fallback,
-        );
+        let ranked = OffLoop::new(config.queue_depth);
+        let workers = ranked.spawn("serve-ranked", config.workers);
         Ok(Self {
             addr,
             inner: Arc::new(Inner {
@@ -311,12 +308,12 @@ impl Server {
                     config.nodelay,
                 ),
                 hub,
-                queue,
+                ranked,
                 control: OffLoop::new(CONTROL_QUEUE_DEPTH),
                 cache: Mutex::new(LruCache::new(config.cache_capacity)),
                 breakers,
+                fallback: config.fallback_search.then(Oracle::new),
                 deadline_ms: config.deadline_ms,
-                bypass: config.single_query_bypass,
                 shadow,
                 rollout,
             }),
@@ -351,9 +348,9 @@ impl Server {
         } = self;
         let control = inner.control.spawn("serve-control", 1);
         let result = evented::run_shards(shards, &inner);
-        // The shards have exited: no new jobs, and the workers and the
+        // The shards have exited: no new jobs, and the ranked pool and the
         // control thread exit once their queues are empty.
-        inner.queue.shutdown();
+        inner.ranked.shutdown();
         inner.control.shutdown();
         for handle in workers.into_iter().chain(control) {
             let _ = handle.join();
@@ -371,10 +368,10 @@ impl Server {
 pub(crate) enum Step {
     /// The response is ready — nothing was queued.
     Respond(Response),
-    /// The request was queued; the worker's outcome will arrive through
-    /// the [`Reply`] built by the dispatch call. The caller must frame it
-    /// with [`outcome_response`], record `serve.request_us`, and answer
-    /// 504 itself if the deadline passes first.
+    /// The request was queued; its result will arrive through the
+    /// [`Reply`] built by the dispatch call. The caller must frame an
+    /// [`Outcome`] with [`Handler::frame`], and answer 504 itself if the
+    /// deadline passes first.
     Queued {
         /// When request handling started (for the latency histogram).
         started: Instant,
@@ -574,7 +571,7 @@ pub(crate) fn record_latency(started: Instant, response: Response) -> Response {
 fn recommend_step(
     case: airchitect::model::CaseStudy,
     request: &Request,
-    inner: &Inner,
+    inner: &Arc<Inner>,
     make_reply: &mut dyn FnMut() -> Reply,
 ) -> Step {
     metrics::SERVE_REQUESTS.inc();
@@ -617,43 +614,21 @@ fn recommend_step(
     }
     metrics::SERVE_CACHE_MISSES.inc();
 
-    // Single-query bypass: with no batch window to join (empty queue), a
-    // top-1 request is answered inline on the int8-quantized hot path —
-    // no queue hop, no worker round-trip. Only model-source answers are
-    // taken here; every other situation (missing model, unquantizable
-    // model, open circuit, ranked query) falls through so the queue path
-    // stays the single owner of fallback and circuit-open policy.
-    if inner.bypass && parsed.topk == 0 && inner.queue.is_empty() {
-        if let Some(model) = inner.hub.get(case) {
-            if model.recommender.quantized().is_some() {
-                let breaker = inner.breakers.infer(case);
-                if matches!(breaker.try_acquire(), Admit::Yes) {
-                    metrics::SERVE_BYPASS.inc();
-                    // Same panic isolation and breaker accounting as the
-                    // worker's answer_job: a poisoned model costs one 500.
-                    let outcome = crate::batch::guarded(&model, &parsed.query, 0);
-                    let failed = matches!(
-                        &outcome,
-                        crate::batch::Outcome::Err { status, .. } if *status >= 500
-                    );
-                    if failed {
-                        metrics::SERVE_INFER_FAILURES.inc();
-                    }
-                    breaker.record(!failed);
-                    return respond(outcome_response(outcome, parsed.cache_key, inner));
-                }
-            }
-        }
+    // One answer path per request kind: a top-1 query is answered here,
+    // on the shard, by the int8 pass; a ranked one runs the f32 pass on
+    // the ranked pool, behind its admission control (reject-on-full keeps
+    // queue latency bounded).
+    if parsed.topk == 0 {
+        let outcome = inner.answer(&parsed.query, 0, deadline);
+        return respond(outcome_response(outcome, parsed.cache_key, inner));
     }
-
-    // Admission control: reject-on-full keeps queue latency bounded.
-    let job = Job {
-        query: parsed.query,
-        topk: parsed.topk,
-        reply: make_reply(),
-        deadline,
+    let (query, topk, state) = (parsed.query, parsed.topk, Arc::clone(inner));
+    let work = move |_: &mut ()| {
+        metrics::SERVE_BATCHES.inc();
+        metrics::SERVE_BATCHED_JOBS.inc();
+        state.answer(&query, topk, deadline)
     };
-    match inner.queue.push(job) {
+    match inner.ranked.submit(make_reply(), work) {
         Ok(()) => Step::Queued {
             started,
             deadline,
@@ -663,16 +638,81 @@ fn recommend_step(
     }
 }
 
-/// Frames an inference [`Outcome`](crate::batch::Outcome) as HTTP and
-/// handles response caching — shared by the queue path and the
-/// single-query bypass so both produce byte-identical responses.
-pub(crate) fn outcome_response(
-    outcome: crate::batch::Outcome,
-    cache_key: Vec<u8>,
-    inner: &Inner,
-) -> Response {
+impl Inner {
+    /// Answers one recommend request on a snapshot of the live model of
+    /// its case study: the deadline check, the panic-isolated inference
+    /// behind the case's breaker ([`batch::guarded`]), and the
+    /// degraded-mode fallback when the model is missing or its circuit is
+    /// open. The shard calls it for a top-1 query, a ranked-pool thread for
+    /// a ranked one.
+    fn answer(&self, query: &RecQuery, topk: usize, deadline: Option<Instant>) -> Outcome {
+        // A ranked request that already blew its budget waiting in the
+        // queue is dropped here: the client has (or is about to) time out,
+        // so doing the work would only add load exactly when the server is
+        // already behind.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            metrics::SERVE_DEADLINE_EXCEEDED.inc();
+            return Outcome::Err {
+                status: 504,
+                code: "deadline_exceeded",
+                message: "request deadline expired before execution".into(),
+            };
+        }
+        let case = query.case();
+        let Some(model) = self.hub.get(case) else {
+            return self.fallback_or(query, topk, || Outcome::Err {
+                status: 503,
+                code: "model_not_loaded",
+                message: format!("no model loaded for case study `{}`", case_name(case)),
+            });
+        };
+        let breaker = self.breakers.infer(case);
+        if breaker.try_acquire() == Admit::No {
+            return self.fallback_or(query, topk, || Outcome::Err {
+                status: 503,
+                code: "circuit_open",
+                message: format!(
+                    "inference circuit for `{}` is open; retry after cooldown",
+                    case_name(case)
+                ),
+            });
+        }
+        if topk == 0 {
+            metrics::SERVE_BYPASS.inc();
+        }
+        let outcome = batch::guarded(&model, query, topk);
+        // Only 5xx-class outcomes count against the breaker: a 422 for an
+        // infeasible budget is the query's fault, not the model's.
+        let failed = matches!(&outcome, Outcome::Err { status, .. } if *status >= 500);
+        if failed {
+            metrics::SERVE_INFER_FAILURES.inc();
+        }
+        breaker.record(!failed);
+        outcome
+    }
+
+    fn fallback_or(
+        &self,
+        query: &RecQuery,
+        topk: usize,
+        otherwise: impl FnOnce() -> Outcome,
+    ) -> Outcome {
+        match &self.fallback {
+            Some(oracle) => {
+                metrics::SERVE_FALLBACKS.inc();
+                oracle.answer(query, topk)
+            }
+            None => otherwise(),
+        }
+    }
+}
+
+/// Frames an inference [`Outcome`] as HTTP and handles response caching —
+/// shared by the inline and the ranked-pool answers so both produce
+/// responses of one shape.
+pub(crate) fn outcome_response(outcome: Outcome, cache_key: Vec<u8>, inner: &Inner) -> Response {
     match outcome {
-        crate::batch::Outcome::Ok {
+        Outcome::Ok {
             body_tail,
             generation,
             source,
@@ -698,7 +738,7 @@ pub(crate) fn outcome_response(
                 }
             }
         }
-        crate::batch::Outcome::Err {
+        Outcome::Err {
             status,
             code,
             message,

@@ -17,12 +17,13 @@
 //!    capacity.
 //! 2. **Admission** — a full forwarding queue answers `429` with
 //!    `Retry-After`; a replica holding its `max_inflight` requests (its
-//!    share of the forwarding threads) or with an open outbound breaker is
-//!    skipped (counted as a failover), so a stalled replica holds only its
-//!    share. When every replica left is at its cap, the request waits for
-//!    one of them to finish a request, within the backend budget.
-//! 3. **Failover** — a transport error, a 5xx, or no answer within the
-//!    backend budget moves to the next distinct replica; a delivered
+//!    share of the forwarding threads) is skipped (a spill, counted in
+//!    `cluster.spills`), so a stalled replica holds only its share. When
+//!    every replica left is at its cap, the request waits for one of them
+//!    to finish a request, within the backend budget.
+//! 3. **Failover** — an open outbound breaker, a transport error, a 5xx,
+//!    or no answer within the backend budget moves to the next distinct
+//!    replica (a failover, counted in `cluster.failovers`); a delivered
 //!    non-5xx answer is returned as-is with an `X-Replica` header naming
 //!    the replica that produced it.
 //!
@@ -150,7 +151,7 @@ impl Handler for ProxyInner {
     }
 
     fn frame(&self, _: Outcome, _: Instant, _: Vec<u8>) -> Response {
-        unreachable!("the router queues no batch jobs")
+        unreachable!("the router's off-loop steps deliver responses, never outcomes")
     }
 }
 
@@ -255,6 +256,10 @@ fn render_cluster_metrics(inner: &ProxyInner) -> Response {
         resp.body.push_str(&format!(
             "cluster.replica.{id}.failovers_total {}\n",
             v.failovers_total
+        ));
+        resp.body.push_str(&format!(
+            "cluster.replica.{id}.spills_total {}\n",
+            v.spills_total
         ));
         resp.body
             .push_str(&format!("cluster.replica.{id}.inflight {}\n", v.inflight));
@@ -631,20 +636,19 @@ fn forward_recommend(inner: &ProxyInner, backends: &mut Backends, req: &ForwardR
     let mut last_response: Option<Response> = None;
 
     // A replica skipped for its cap again after a wait is not counted
-    // again as a failover.
+    // again as a spill.
     let mut first_walk = true;
     loop {
         // Replicas skipped because they hold their cap of requests.
         let mut full = Vec::new();
-        for (i, &id) in candidates.iter().enumerate() {
-            if i > 0 && first_walk {
-                metrics::CLUSTER_FAILOVERS.inc();
-            }
+        for &id in &candidates {
             let Some(slot) = inner.fleet.slot(id) else { continue };
-            // In-flight cap first (no breaker state is consumed by a skip)...
+            // In-flight cap first (no breaker state is consumed by a skip):
+            // load spilling to the next replica, not a failure...
             if !Room::enter(slot, cap) {
                 if first_walk {
-                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                    metrics::CLUSTER_SPILLS.inc();
+                    slot.spills_total.fetch_add(1, Ordering::Relaxed);
                 }
                 full.push(id);
                 continue;
@@ -653,12 +657,13 @@ fn forward_recommend(inner: &ProxyInner, backends: &mut Backends, req: &ForwardR
             // always followed by a `record`).
             if slot.breaker.try_acquire() == Admit::No {
                 inner.room.leave(slot);
-                slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                failed_over(slot);
                 continue;
             }
             let Some(addr) = inner.fleet.replica_addr(id) else {
                 slot.breaker.record(false);
                 inner.room.leave(slot);
+                failed_over(slot);
                 continue;
             };
             let result = attempt_replica(backends, id, addr, req, budget);
@@ -671,12 +676,12 @@ fn forward_recommend(inner: &ProxyInner, backends: &mut Backends, req: &ForwardR
                         metrics::CLUSTER_BACKEND_US.record(started.elapsed().as_micros() as u64);
                         return proxied_response(answer, id);
                     }
-                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                    failed_over(slot);
                     last_response = Some(proxied_response(answer, id));
                 }
                 Err(_) => {
                     slot.breaker.record(false);
-                    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
+                    failed_over(slot);
                 }
             }
         }
@@ -699,6 +704,13 @@ fn forward_recommend(inner: &ProxyInner, backends: &mut Backends, req: &ForwardR
         resp.retry_after = Some(1);
         resp
     })
+}
+
+/// Counts a request leaving `slot` because the replica failed it: an open
+/// outbound breaker, no address, a transport error or timeout, or a 5xx.
+fn failed_over(slot: &ReplicaSlot) {
+    metrics::CLUSTER_FAILOVERS.inc();
+    slot.failovers_total.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The replicas' in-flight places: each replica takes at most `cap` of
@@ -819,7 +831,6 @@ impl Cluster {
         for (flag, value) in [
             ("--workers", config.workers as u64),
             ("--queue-depth", config.queue_depth as u64),
-            ("--batch-max", config.batch_max as u64),
             ("--cache-cap", config.cache_capacity as u64),
             ("--read-timeout-secs", config.read_timeout_secs),
             ("--write-timeout-secs", config.write_timeout_secs),
@@ -834,9 +845,6 @@ impl Cluster {
         if config.fallback_search {
             argv.push("--fallback".into());
             argv.push("search".into());
-        }
-        if !config.single_query_bypass {
-            argv.push("--no-bypass".into());
         }
         if config.shadow_rate > 0.0 {
             argv.push("--shadow-oracle".into());

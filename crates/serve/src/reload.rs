@@ -1,11 +1,10 @@
 //! Atomic model hot-reload.
 //!
 //! The server holds one slot per case study, each an
-//! `RwLock<Option<Arc<LoadedModel>>>`. Readers (the batch workers) clone
-//! the `Arc` once per micro-batch and answer every job in the batch from
-//! that snapshot, so a reload never tears a response: in-flight batches
-//! finish on the old model, later batches see the new one, and nothing in
-//! between.
+//! `RwLock<Option<Arc<LoadedModel>>>`. Readers clone the `Arc` once per
+//! answer and answer from that snapshot, so a reload never tears a
+//! response: answers in flight finish on the old model, later ones see the
+//! new one, and nothing in between.
 //!
 //! `reload()` is all-or-nothing: every registered path is re-read and
 //! validated (the `AIRM` codec checksum-verifies v2 files) *before* any
@@ -348,7 +347,7 @@ mod tests {
         assert_eq!(fresh.len(), 1);
         let after = hub.get(CaseStudy::ArrayDataflow).unwrap();
         assert_eq!(after.generation, 2);
-        // The old snapshot is still usable by an in-flight batch.
+        // The old snapshot is still usable by an answer in flight.
         assert_eq!(before.generation, 1);
         let _ = std::fs::remove_file(&path);
     }

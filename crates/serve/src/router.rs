@@ -1,4 +1,4 @@
-//! Route dispatch, JSON request decoding, and the non-worker endpoints
+//! Route dispatch, JSON request decoding, and the non-inference endpoints
 //! (`/healthz`, `/metrics`, reload/shutdown acknowledgements).
 //!
 //! Request bodies mirror the `airchitect recommend` CLI flags — same field

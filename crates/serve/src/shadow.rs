@@ -3,10 +3,9 @@
 //!
 //! A deterministic hash over the request's canonical cache key admits a
 //! configured fraction of recommendation requests, of every kind (cache
-//! hit or miss, top-1 or ranked, bypassed or queued), into a bounded
-//! [`Queue`]. A low-priority pool of dedicated threads (never borrowed
-//! from the batch workers) scores each sampled query in one or both of
-//! two ways:
+//! hit or miss, top-1 or ranked), into a bounded [`Queue`]. A
+//! low-priority pool of dedicated threads (never borrowed from the ranked
+//! pool) scores each sampled query in one or both of two ways:
 //!
 //! * **Shadow oracle** (`shadow_rate`): the served model's top-1 against
 //!   the exact DSE oracle, appended as a versioned record to the rotating
@@ -151,8 +150,8 @@ impl ShadowState {
     }
 
     /// Drains the queue, joins the pool, and closes the log (writing its
-    /// end line). Called once during server shutdown, after the batch
-    /// workers have exited.
+    /// end line). Called once during server shutdown, after the ranked
+    /// pool has exited.
     pub(crate) fn finish(&self) {
         self.queue.shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
@@ -169,19 +168,13 @@ impl ShadowState {
     /// empty, yielding the CPU after each so scoring only soaks up cycles
     /// the request path isn't using.
     fn drain(&self) {
-        loop {
-            let tasks = self.queue.pop_batch(1);
-            if tasks.is_empty() {
-                return;
-            }
-            for task in tasks {
-                // A panic (an oracle slip, a poisoned lock) costs this
-                // task, not a pool thread.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.score(&task);
-                }));
-                std::thread::yield_now();
-            }
+        while let Some(task) = self.queue.pop() {
+            // A panic (an oracle slip, a poisoned lock) costs this task,
+            // not a pool thread.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.score(&task);
+            }));
+            std::thread::yield_now();
         }
     }
 

@@ -280,9 +280,12 @@ pub struct ReplicaSlot {
     inner: Mutex<SlotInner>,
     /// Times this slot's child was respawned after a crash.
     pub restarts_total: AtomicU64,
-    /// Requests retried away from this replica after it failed or was
-    /// skipped (breaker open, in-flight cap).
+    /// Requests moved off this replica because it failed them (open
+    /// breaker, transport error, timeout, 5xx).
     pub failovers_total: AtomicU64,
+    /// Requests that skipped this healthy replica because it held its
+    /// `max_inflight` requests, spilling to the next one on the ring.
+    pub spills_total: AtomicU64,
     /// Proxied requests currently in flight to this replica.
     pub inflight: AtomicU64,
     /// Outbound router→replica circuit breaker.
@@ -321,6 +324,7 @@ impl ReplicaSlot {
             }),
             restarts_total: AtomicU64::new(0),
             failovers_total: AtomicU64::new(0),
+            spills_total: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             breaker: Breaker::new(
                 cfg.breaker_threshold,
@@ -360,8 +364,10 @@ pub struct ReplicaView {
     pub phase: &'static str,
     /// Times the child was respawned after a crash.
     pub restarts_total: u64,
-    /// Requests failed over away from this replica.
+    /// Requests moved off this replica because it failed them.
     pub failovers_total: u64,
+    /// Requests that spilled past this replica at its in-flight cap.
+    pub spills_total: u64,
     /// Proxied requests currently in flight.
     pub inflight: u64,
     /// Outbound breaker phase name.
@@ -458,6 +464,7 @@ impl Fleet {
                     phase: if ringed { Phase::Healthy.name() } else { g.phase.name() },
                     restarts_total: slot.restarts_total.load(Ordering::Relaxed),
                     failovers_total: slot.failovers_total.load(Ordering::Relaxed),
+                    spills_total: slot.spills_total.load(Ordering::Relaxed),
                     inflight: slot.inflight.load(Ordering::Relaxed),
                     breaker: slot.breaker.phase_name(),
                 }

@@ -1,7 +1,8 @@
 //! Chaos integration: the server under injected faults — breaker trips and
 //! half-open recovery, deadlines under injected latency, reload corruption,
-//! a slow reload and a held canary promote off the event loop, accept-loop
-//! fault retry, and the degraded-mode fallback when a circuit is open.
+//! a slow reload and a held canary promote off the event loop, a top-1
+//! answer that never waits behind ranked work, accept-loop fault retry,
+//! and the degraded-mode fallback when a circuit is open.
 //! Compiled only with `--features chaos`.
 
 #![cfg(feature = "chaos")]
@@ -112,6 +113,9 @@ fn shutdown(mut client: HttpClient, handle: ServerHandle) {
 }
 
 const ARRAY_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024}"#;
+/// A ranked query: answered on the ranked pool, where
+/// `serve.batch.dispatch` fires.
+const RANKED_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024,"topk":3}"#;
 
 #[test]
 fn breaker_opens_after_injected_failures_and_half_open_recovers() {
@@ -201,18 +205,17 @@ fn open_circuit_with_fallback_serves_the_search_answer() {
 #[test]
 fn injected_worker_stall_turns_into_a_timely_504() {
     let _guard = chaos("serve.batch.dispatch=delay(600):1:1");
-    // Bypass disabled: the stall is injected on the *worker* dispatch
-    // path, and the 504-at-deadline contract is about the listener
-    // abandoning a stuck worker.
+    // A ranked request: the stall is injected on the ranked pool's
+    // dispatch, and the 504-at-deadline contract is about the listener
+    // abandoning a stuck pool thread.
     let (addr, handle) = start(ServeConfig {
         deadline_ms: 150,
-        single_query_bypass: false,
         ..config(0, 0, false)
     });
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
 
     let started = std::time::Instant::now();
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body);
     assert!(resp.body.contains("deadline_exceeded"), "{}", resp.body);
     // The 504 must be answered at the deadline, not after the stall ends.
@@ -223,7 +226,7 @@ fn injected_worker_stall_turns_into_a_timely_504() {
     );
 
     // Once the injected stall drains, the server answers normally.
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     shutdown(client, handle);
 }
@@ -231,29 +234,103 @@ fn injected_worker_stall_turns_into_a_timely_504() {
 #[test]
 fn injected_worker_panic_is_isolated_to_one_500() {
     let _guard = chaos("serve.batch.dispatch=panic:1:1");
-    // Bypass disabled: the panic is injected on the worker dispatch path.
-    let (addr, handle) = start(ServeConfig {
-        single_query_bypass: false,
-        ..config(0, 0, false)
-    });
+    // A ranked request: the panic is injected on the ranked pool's
+    // dispatch.
+    let (addr, handle) = start(config(0, 0, false));
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
 
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
     assert_eq!(resp.status, 500, "{}", resp.body);
     assert!(resp.body.contains("inference_panic"), "{}", resp.body);
-    // The worker survived; later requests are answered.
+    // The pool thread survived; later requests are answered.
     for _ in 0..3 {
-        let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+        let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    shutdown(client, handle);
+}
+
+/// A top-1 request never waits behind ranked work: with the ranked pool's
+/// one thread held by a stalled ranked request A and ranked request B
+/// queued behind it, a top-1 request on a third connection is answered
+/// inline at once, with the int8 answer `execute_fast` gives.
+#[test]
+fn a_top1_answer_never_waits_behind_ranked_work() {
+    use airchitect_serve::batch::{execute_fast, Outcome};
+    use airchitect_serve::reload::ModelHub;
+    use airchitect_serve::router::parse_recommend;
+    use airchitect_telemetry::metrics::SERVE_CACHE_MISSES;
+
+    let _guard = chaos("serve.batch.dispatch=delay(800):1:1");
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..config(0, 0, false)
+    });
+    let send = |body: &str| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let request = format!(
+            "POST /v1/recommend/array HTTP/1.1\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        stream
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + TIMEOUT;
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // A takes the pool's one thread and stalls in its dispatch.
+    let misses = SERVE_CACHE_MISSES.get();
+    let mut a = send(RANKED_BODY);
+    wait_for("A never reached the ranked pool", &|| {
+        airchitect_chaos::fired("serve.batch.dispatch") == 1
+    });
+    // B waits in the pool's queue behind it (a shard counts its cache
+    // miss just before queueing it).
+    let mut b = send(r#"{"m":96,"n":64,"k":256,"mac_budget":1024,"topk":3}"#);
+    wait_for("B never missed the cache", &|| {
+        SERVE_CACHE_MISSES.get() >= misses + 2
+    });
+
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let started = Instant::now();
+    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(
+        waited < Duration::from_millis(200),
+        "the top-1 answer waited {} ms behind ranked work",
+        waited.as_millis()
+    );
+    let hub = ModelHub::load(&[cs1_model_file()], false).unwrap();
+    let model = hub.get(CaseStudy::ArrayDataflow).unwrap();
+    let query = parse_recommend(CaseStudy::ArrayDataflow, ARRAY_BODY.as_bytes())
+        .unwrap()
+        .query;
+    let Outcome::Ok { body_tail, .. } = execute_fast(&model, &query) else {
+        panic!("execute_fast failed on {ARRAY_BODY}");
+    };
+    assert_eq!(resp.body, format!("{{\"cached\":false,{body_tail}"));
+
+    // A and B are still answered, once the stall ends.
+    for stream in [&mut a, &mut b] {
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+        assert!(answer.contains("\"results\":["), "{answer}");
     }
     shutdown(client, handle);
 }
 
 #[test]
 fn injected_panic_on_the_bypass_is_isolated_to_one_500() {
-    // `serve.infer` fires inside `execute_fast`, so with the bypass
-    // enabled (the default) the panic lands on the *connection* thread —
-    // it must be caught there exactly like the worker catches its own.
+    // `serve.infer` fires inside `execute_fast`, so for a top-1 request
+    // the panic lands on the shard that answers it inline — it must be
+    // caught there exactly like a ranked-pool thread catches its own.
     let _guard = chaos("serve.infer=panic:1:1");
     let (addr, handle) = start(config(0, 0, false));
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();

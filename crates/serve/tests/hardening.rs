@@ -78,6 +78,8 @@ fn shutdown(mut client: HttpClient, handle: ServerHandle) {
 }
 
 const ARRAY_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024}"#;
+/// A ranked query: answered on the ranked pool, behind its queue.
+const RANKED_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024,"topk":3}"#;
 
 /// Reads a metric value (`name value`) out of a `/metrics` scrape.
 fn metric(body: &str, name: &str) -> Option<f64> {
@@ -154,9 +156,8 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
-        queue_depth: 0,            // every queued push answers 429
-        single_query_bypass: false, // force the queue path
-        cache_capacity: 0,         // no cache hits short-circuiting
+        queue_depth: 0,    // every ranked push answers 429
+        cache_capacity: 0, // no cache hits short-circuiting
         ..ServeConfig::default()
     };
     let (addr, handle) = start(config);
@@ -172,8 +173,8 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
         .post_with_deadline("/v1/recommend/array", ARRAY_BODY, 0)
         .unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body);
-    // 429: queue depth zero.
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    // 429: a ranked request, and queue depth zero.
+    let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.body);
     // 400: parse rejection.
     let resp = client.post("/v1/recommend/array", "{\"m\":-1}").unwrap();

@@ -98,6 +98,8 @@ fn shutdown(mut client: HttpClient, handle: ServerHandle) {
 }
 
 const ARRAY_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024}"#;
+/// A ranked query: answered on the ranked pool, behind its queue.
+const RANKED_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024,"topk":3}"#;
 const BUFFERS_BODY: &str = r#"{"m":256,"n":256,"k":256,"rows":32,"cols":32,"limit_kb":1500}"#;
 const SCHEDULE_BODY: &str = r#"{"workloads":[{"m":64,"n":64,"k":64},{"m":128,"n":128,"k":128},{"m":256,"n":64,"k":32},{"m":96,"n":96,"k":96}]}"#;
 
@@ -167,18 +169,17 @@ fn repeat_queries_hit_the_cache_and_metrics_show_it() {
 
 #[test]
 fn full_queue_answers_429_with_retry_after() {
-    // Depth 0 = every uncached request is rejected at admission. The
-    // single-query bypass would answer inline without touching the queue,
-    // so it is disabled to exercise the admission-control path.
+    // Depth 0 = every uncached ranked request is rejected at admission. A
+    // top-1 request is answered inline and never queues, so the
+    // admission-control path is reached with a ranked one.
     let config = ServeConfig {
         queue_depth: 0,
         cache_capacity: 0,
-        single_query_bypass: false,
         ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
     };
     let (addr, handle) = start(config);
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/array", RANKED_BODY).unwrap();
     assert_eq!(resp.status, 429);
     assert_eq!(resp.retry_after, Some(1), "429 must carry Retry-After");
     shutdown(client, handle);
@@ -444,6 +445,7 @@ fn degradation_ladder_is_table_driven() {
     struct Case {
         name: &'static str,
         config: ServeConfig,
+        body: &'static str,
         deadline_ms: Option<u64>,
         status: u16,
         marker: &'static str,
@@ -453,6 +455,7 @@ fn degradation_ladder_is_table_driven() {
         Case {
             name: "healthy",
             config: default_config(vec![model_file(CaseStudy::ArrayDataflow)]),
+            body: ARRAY_BODY,
             deadline_ms: None,
             status: 200,
             marker: "\"source\":\"model\"",
@@ -460,14 +463,14 @@ fn degradation_ladder_is_table_driven() {
         },
         Case {
             name: "queue-full",
-            // Bypass disabled: this rung is about queue admission, which
-            // an inline answer would never reach.
+            // A ranked request: this rung is about queue admission, which
+            // an inline top-1 answer never reaches.
             config: ServeConfig {
                 queue_depth: 0,
                 cache_capacity: 0,
-                single_query_bypass: false,
                 ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
             },
+            body: RANKED_BODY,
             deadline_ms: None,
             status: 429,
             marker: "queue_full",
@@ -476,6 +479,7 @@ fn degradation_ladder_is_table_driven() {
         Case {
             name: "deadline-expired",
             config: default_config(vec![model_file(CaseStudy::ArrayDataflow)]),
+            body: ARRAY_BODY,
             deadline_ms: Some(0),
             status: 504,
             marker: "deadline_exceeded",
@@ -484,6 +488,7 @@ fn degradation_ladder_is_table_driven() {
         Case {
             name: "missing-model-without-fallback",
             config: default_config(vec![model_file(CaseStudy::BufferSizing)]),
+            body: ARRAY_BODY,
             deadline_ms: None,
             status: 503,
             marker: "model_not_loaded",
@@ -495,6 +500,7 @@ fn degradation_ladder_is_table_driven() {
                 fallback_search: true,
                 ..default_config(vec![model_file(CaseStudy::BufferSizing)])
             },
+            body: ARRAY_BODY,
             deadline_ms: None,
             status: 200,
             marker: "\"source\":\"search\"",
@@ -506,9 +512,9 @@ fn degradation_ladder_is_table_driven() {
         let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
         let resp = match case.deadline_ms {
             Some(ms) => client
-                .post_with_deadline("/v1/recommend/array", ARRAY_BODY, ms)
+                .post_with_deadline("/v1/recommend/array", case.body, ms)
                 .unwrap(),
-            None => client.post("/v1/recommend/array", ARRAY_BODY).unwrap(),
+            None => client.post("/v1/recommend/array", case.body).unwrap(),
         };
         assert_eq!(resp.status, case.status, "{}: {}", case.name, resp.body);
         assert!(
@@ -569,16 +575,15 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
     assert!(first.body.contains("\"generation\":1"), "{}", first.body);
 
     // Swap a differently-trained model onto the same path and hot-reload:
-    // the quantized artifact must be rebuilt, and the embedding memo's
-    // id-stamping must make every old row miss.
+    // the quantized artifact must be rebuilt.
     let model_b = train_cs1(7, 99);
     persist::save(&model_b, &path).unwrap();
     let resp = client.post("/v1/reload", "").unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
 
     // Compute model B's own int8 fast answer in-process; the served body
-    // must match it exactly — an answer from A's quantized weights (a
-    // stale memo row or an unswapped artifact) would not.
+    // must match it exactly — an answer from A's quantized weights (an
+    // unswapped artifact) would not.
     let rec = Recommender::new(model_b).unwrap();
     assert!(rec.quantized().is_some(), "embedding MLP must quantize");
     let space = Case1Space::from_len(30).expect("30-label CS1 space");
@@ -598,7 +603,7 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
     assert!(after.body.contains(&expected), "{} !~ {expected}", after.body);
 
     // The inline path actually served these: the bypass counter moved and
-    // the quantized pass touched the embedding memo.
+    // the quantized pass ran its int8 GEMVs.
     let metrics = client.get("/metrics").unwrap();
     let counter = |name: &str| {
         metrics
@@ -612,7 +617,11 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
             .unwrap_or(0)
     };
     assert!(counter("serve.bypass") > 0, "{}", metrics.body);
-    assert!(counter("quant.memo_misses") > 0, "{}", metrics.body);
+    assert!(
+        counter("qgemv.dispatch.avx2") + counter("qgemv.dispatch.scalar") > 0,
+        "{}",
+        metrics.body
+    );
 
     shutdown(client, handle);
 }

@@ -261,7 +261,7 @@ pub static GEMM_DISPATCH_AVX2: Counter = Counter::new("gemm.kernel_dispatch.avx2
 pub static GEMM_DISPATCH_PORTABLE: Counter = Counter::new("gemm.kernel_dispatch.portable");
 /// HTTP requests accepted by the inference server (any route).
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-/// Requests answered 429 because a queue was full: the batch queue, a
+/// Requests answered 429 because a queue was full: the ranked pool's, a
 /// control thread's or a router forwarding queue (never a dropped shadow
 /// or canary sample).
 pub static SERVE_REJECTED: Counter = Counter::new("serve.rejected");
@@ -269,9 +269,13 @@ pub static SERVE_REJECTED: Counter = Counter::new("serve.rejected");
 pub static SERVE_CACHE_HITS: Counter = Counter::new("serve.cache_hits");
 /// Recommendation requests that missed the cache and ran inference.
 pub static SERVE_CACHE_MISSES: Counter = Counter::new("serve.cache_misses");
-/// Micro-batches drained from the server queue by the worker pool.
+/// Ranked requests answered on the ranked pool, one per request (an
+/// expired deadline or a fallback answer included). The pool answers each
+/// request on its own, so this always equals `serve.batched_jobs`.
 pub static SERVE_BATCHES: Counter = Counter::new("serve.batches");
-/// Jobs executed inside those micro-batches.
+/// Ranked requests answered on the ranked pool, one per request; equal to
+/// `serve.batches` (one job per "batch"). Both stay for the readers that
+/// divide them.
 pub static SERVE_BATCHED_JOBS: Counter = Counter::new("serve.batched_jobs");
 /// Successful model hot-reloads.
 pub static SERVE_RELOADS: Counter = Counter::new("serve.reloads");
@@ -287,8 +291,14 @@ pub static SERVE_INFER_FAILURES: Counter = Counter::new("serve.infer_failures");
 pub static PERSIST_READ_RETRIES: Counter = Counter::new("persist.read_retries");
 /// Recommendation requests routed by the cluster proxy.
 pub static CLUSTER_PROXY_REQUESTS: Counter = Counter::new("cluster.proxy_requests");
-/// Requests retried on another replica after a failure or skip.
+/// Requests moved off a replica because it failed them: an open outbound
+/// breaker, a transport error or timeout, or a 5xx. A healthy replica
+/// skipped at its in-flight cap is a spill, not a failover.
 pub static CLUSTER_FAILOVERS: Counter = Counter::new("cluster.failovers");
+/// Requests that skipped a healthy replica holding its `max_inflight`
+/// requests and went to the next one on the ring (load spill, not a
+/// failure).
+pub static CLUSTER_SPILLS: Counter = Counter::new("cluster.spills");
 /// Replica child processes (re)started by the supervisor after a crash.
 pub static CLUSTER_RESTARTS: Counter = Counter::new("cluster.restarts");
 /// Health probes issued by the supervisor.
@@ -303,14 +313,18 @@ pub static CLUSTER_READMISSIONS: Counter = Counter::new("cluster.readmissions");
 pub static QGEMV_DISPATCH_AVX2: Counter = Counter::new("qgemv.dispatch.avx2");
 /// Int8 GEMV calls dispatched to the portable scalar kernel.
 pub static QGEMV_DISPATCH_SCALAR: Counter = Counter::new("qgemv.dispatch.scalar");
-/// Embedding-concat memo hits on the quantized inference path.
+/// Always 0: the int8 path has no embedding memo (every query gathers
+/// its embedding row). Registered so that readers of the old series see
+/// a zero, not a missing line.
 pub static QUANT_MEMO_HITS: Counter = Counter::new("quant.memo_hits");
-/// Embedding-concat memo misses on the quantized inference path.
+/// Always 0, like `quant.memo_hits`.
 pub static QUANT_MEMO_MISSES: Counter = Counter::new("quant.memo_misses");
-/// Recommendations answered inline on the single-query bypass (no queue).
+/// Top-1 recommendations answered inline on a shard by a model (not by
+/// the fallback oracle, a missing model or an expired deadline). Every
+/// top-1 request that reaches a model is answered this way.
 pub static SERVE_BYPASS: Counter = Counter::new("serve.bypass");
-/// Event-loop wakeups issued by batch workers delivering completions to
-/// the evented listener (one eventfd write per empty→non-empty queue
+/// Event-loop wakeups issued by off-loop threads delivering completions
+/// to the evented listener (one eventfd write per empty→non-empty queue
 /// transition, not one per completion).
 pub static SERVE_WAKEUPS: Counter = Counter::new("serve.wakeups");
 /// Admitted requests sampled for the shadow oracle (canary samples are
@@ -400,8 +414,6 @@ pub static INFER_QUERY_US: Histogram = Histogram::new("infer.query_us");
 pub static CHECKPOINT_SAVE_US: Histogram = Histogram::new("checkpoint.save_us");
 /// End-to-end server request latency (parse to response write), microseconds.
 pub static SERVE_REQUEST_US: Histogram = Histogram::new("serve.request_us");
-/// Jobs per drained micro-batch (a size distribution, not a latency).
-pub static SERVE_BATCH_JOBS: Histogram = Histogram::new("serve.batch_jobs");
 /// Router-observed backend round-trip latency, microseconds.
 pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 /// Exact DSE-oracle search latency per shadow-sampled request,
@@ -409,7 +421,7 @@ pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 pub static SERVE_SHADOW_ORACLE_US: Histogram =
     Histogram::new("serve.shadow.oracle_us");
 
-static COUNTERS: [&Counter; 53] = [
+static COUNTERS: [&Counter; 54] = [
     &SIM_EVALS,
     &DSE_SEARCHES,
     &DSE_SEARCH_POINTS,
@@ -437,6 +449,7 @@ static COUNTERS: [&Counter; 53] = [
     &PERSIST_READ_RETRIES,
     &CLUSTER_PROXY_REQUESTS,
     &CLUSTER_FAILOVERS,
+    &CLUSTER_SPILLS,
     &CLUSTER_RESTARTS,
     &CLUSTER_PROBES,
     &CLUSTER_PROBE_FAILURES,
@@ -479,12 +492,11 @@ static GAUGES: [&Gauge; 13] = [
     &SERVE_CANARY_P99_RATIO,
     &CLUSTER_ROLLOUT_REPLICAS_DONE,
 ];
-static HISTOGRAMS: [&Histogram; 7] = [
+static HISTOGRAMS: [&Histogram; 6] = [
     &TRAIN_BATCH_US,
     &INFER_QUERY_US,
     &CHECKPOINT_SAVE_US,
     &SERVE_REQUEST_US,
-    &SERVE_BATCH_JOBS,
     &CLUSTER_BACKEND_US,
     &SERVE_SHADOW_ORACLE_US,
 ];

@@ -11,7 +11,7 @@
 //! * [`tensor`] / [`nn`] — the from-scratch ML substrate,
 //! * [`classifiers`] — the Fig. 9 baseline model zoo,
 //! * [`core`] — the AIrchitect model, pipelines, and recommendation API,
-//! * [`serve`] — the batched, hot-reloadable HTTP inference server.
+//! * [`serve`] — the hot-reloadable HTTP inference server.
 //!
 //! See the workspace README for the quickstart and DESIGN.md for the system
 //! inventory.
